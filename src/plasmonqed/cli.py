@@ -188,8 +188,6 @@ def _write_dataset(out_path, command, config, seed, columns, rows,
 
 
 def _map_ordered(fn, items, workers):
-    if workers < 1:
-        raise ConfigError("--workers must be >= 1")
     if workers == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
@@ -292,7 +290,7 @@ def cmd_oracle(config, args):
     t_final = _parse_float(config["t_final"], "t_final")
     if sigma <= 0 or spacing <= 0:
         raise ConfigError("sigma and spacing must be positive")
-    if any(b >= a for a, b in zip(n_modes, n_modes[1:])):
+    if any(b <= a for a, b in zip(n_modes, n_modes[1:])):
         raise ConfigError("n_modes: must be strictly increasing")
     params = params_from_purcell(purcell)
     pulse = gaussian_spectrum(sigma)
@@ -432,6 +430,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError("--workers must be >= 1")
         config = _resolve_config(args.command, args)
         _COMMANDS[args.command](config, args)
     except ConfigError as exc:

@@ -246,23 +246,41 @@ def generate_photon(
     return pulse, efficiency
 
 
+def _departed_population(c_e: np.ndarray, t: np.ndarray,
+                         gamma: float) -> np.ndarray:
+    """Population that has left |s> by each sample: |c_e|^2 + Gamma int |c_e|^2.
+
+    During generation |c_s|^2 is one minus this; the emitted flux and the
+    other decay channels together drain Gamma |c_e|^2.
+    """
+    intensity = np.abs(c_e) ** 2
+    return intensity + gamma * CubicSpline(t, intensity).antiderivative()(t)
+
+
 def control_for_target_pulse(
     params: ThreeLevelParams, target: PulseShape
 ) -> PulseShape:
     """Control that makes ``generate_photon`` emit ``target``.
 
-    Inverts the generation equations: c_e is fixed by the target, |c_s|
-    follows from norm bookkeeping, and the control is read off the c_e
-    equation. Division is guarded at |c_s| < 1e-6; if the guard triggers
-    while a non-negligible part of the target is still unemitted, the target
-    demands more than the gamma_pl/Gamma efficiency bound and is rejected.
+    Inverts the generation equations in closed form (Gorshkov et al., PRL
+    98, 123601 (2007)). The target fixes c_e = v/sqrt(gamma_pl), and the c_e
+    equation fixes N = i Omega c_s = dc_e/dt + (Gamma/2 - i delta) c_e, with
+    dc_e/dt from a cubic spline through c_e. Norm bookkeeping gives
+    |c_s|^2 = 1 - |c_e|^2 - Gamma int |c_e|^2, and the c_s equation gives its
+    phase phi = -int Im(conj(N) c_e)/|c_s|^2, both integrals being
+    antiderivatives of cubic splines on the samples. Then
+    Omega = N/(i |c_s| e^{i phi}).
+
+    Division is guarded at |c_s| <= 1e-6: from the first sample where the
+    guard holds the control is zero, and if more than 1e-5 of the target is
+    still unemitted there, the target demands more than the gamma_pl/Gamma
+    efficiency bound and is rejected.
     """
     if params.gamma_pl <= 0.0:
         raise ValueError("gamma_pl must be positive to emit into the waveguide")
     t = target.samples.grid
     dt = target.samples.dt
     gamma = params.gamma_total
-    delta = params.delta
     v = target.samples.values
     norm = float(np.sum(np.abs(v) ** 2) * dt)
     bound = params.gamma_pl / gamma
@@ -271,52 +289,22 @@ def control_for_target_pulse(
             f"target norm {norm:.6g} exceeds the efficiency bound "
             f"gamma_pl/Gamma = {bound:.6g}")
     c_e = v / math.sqrt(params.gamma_pl)
-    ce_re = CubicSpline(t, np.real(c_e))
-    ce_im = CubicSpline(t, np.imag(c_e))
-    dce_re = ce_re.derivative()
-    dce_im = ce_im.derivative()
-
-    def ce(time):
-        return complex(ce_re(time), ce_im(time))
-
-    def numerator(time):
-        dce = complex(dce_re(time), dce_im(time))
-        return dce + (gamma / 2.0 - 1j * delta) * ce(time)
-
-    def rhs(time, y):
-        c_s = y[0]
-        return [-np.conj(numerator(time)) * ce(time) / np.conj(c_s)]
-
-    def guard(time, y):
-        return abs(y[0]) - _CS_GUARD
-
-    guard.terminal = True
-    guard.direction = -1.0
-
-    c_s0 = math.sqrt(max(0.0, 1.0 - abs(c_e[0]) ** 2))
-    sol = solve_ivp(
-        rhs, (t[0], t[-1]), np.array([c_s0], dtype=complex),
-        method="DOP853", rtol=_ODE_RTOL, atol=_ODE_ATOL,
-        dense_output=True, events=guard, max_step=(t[-1] - t[0]) / 50.0,
-    )
-    if not sol.success:
-        raise InvariantViolation("control-inversion-integration", sol.message)
-    t_stop = float(sol.t[-1])
-    if sol.status == 1:  # guard fired
-        remaining = float(np.sum(np.abs(v[t >= t_stop]) ** 2) * dt)
-        if remaining > 1e-5:
-            raise ValueError(
-                f"target requires more than the gamma_pl/Gamma efficiency "
-                f"bound: |c_s| hit the guard at t = {t_stop:.4g} with "
-                f"{remaining:.3g} of the pulse unemitted")
+    cs2 = 1.0 - _departed_population(c_e, t, gamma)
+    guarded = np.flatnonzero(cs2 <= _CS_GUARD**2)
+    stop = int(guarded[0]) if guarded.size else len(t)
+    remaining = float(np.sum(np.abs(v[stop:]) ** 2) * dt)
+    if remaining > 1e-5:
+        raise ValueError(
+            f"target requires more than the gamma_pl/Gamma efficiency "
+            f"bound: |c_s| hit the guard at t = {t[stop]:.4g} with "
+            f"{remaining:.3g} of the pulse unemitted")
+    numerator = (CubicSpline(t, c_e).derivative()(t)
+                 + (gamma / 2.0 - 1j * params.delta) * c_e)[:stop]
+    cs2 = cs2[:stop]
+    phase_rate = -np.imag(np.conj(numerator) * c_e[:stop]) / cs2
+    phase = CubicSpline(t[:stop], phase_rate).antiderivative()(t[:stop])
     omega = np.zeros(len(t), dtype=complex)
-    for i, time in enumerate(t):
-        if time > t_stop:
-            break
-        c_s = complex(sol.sol(time)[0])
-        if abs(c_s) < _CS_GUARD:
-            break
-        omega[i] = numerator(time) / (1j * c_s)
+    omega[:stop] = numerator / (1j * np.sqrt(cs2) * np.exp(1j * phase))
     return PulseShape(TimeSeries(float(t[0]), float(dt), omega), FLUX_NORM)
 
 
@@ -394,16 +382,16 @@ def matched_storage(
 
     The generation target is the Gaussian scaled to the largest feasible
     emission norm (the gamma_pl/Gamma bound for slow pulses, less for pulses
-    faster than the linewidth); the storage pair is its time reverse.
+    faster than the linewidth); the storage pair is its time reverse. The
+    scale uses the inversion's own bookkeeping, so the smallest |c_s|^2
+    along the target is the feasibility margin, 1e-4.
     """
     shape = gaussian_target(duration, n_samples)
     t = shape.samples.grid
     dt = shape.samples.dt
     v0 = shape.samples.values
-    c_tilde = np.abs(v0) ** 2 / params.gamma_pl
-    cumulative = np.concatenate(
-        ([0.0], np.cumsum((c_tilde[1:] + c_tilde[:-1]) * 0.5 * dt)))
-    headroom = c_tilde + params.gamma_total * cumulative
+    headroom = _departed_population(v0 / math.sqrt(params.gamma_pl), t,
+                                    params.gamma_total)
     alpha2 = (1.0 - _FEASIBILITY_MARGIN) / float(np.max(headroom))
     target = PulseShape(
         TimeSeries(0.0, dt, v0 * math.sqrt(alpha2)), FLUX_NORM)

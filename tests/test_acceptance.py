@@ -136,12 +136,21 @@ def _sup_metric(num, ana):
 
 
 def _dip_offset(purcell, omega):
+    """Offset of the g2 transmission dip from 4 ln P; NaN if no dip.
+
+    A curve with no minimum inside the +-0.3 bracket around 4 ln P has no
+    dip to locate. NaN fails every tolerance and ratio check it enters, so
+    the criterion records FAIL instead of stopping before its line.
+    """
     params = params_from_purcell(purcell, omega_c=omega)
     t0 = antibunching_time(purcell)
-    found = minimize_scalar(
-        lambda t: g2_value(params, "transmitted", t),
-        bracket=(t0 - 0.3, t0, t0 + 0.3), method="brent",
-        options={"xtol": 1e-10})
+    try:
+        found = minimize_scalar(
+            lambda t: g2_value(params, "transmitted", t),
+            bracket=(t0 - 0.3, t0, t0 + 0.3), method="brent",
+            options={"xtol": 1e-10})
+    except ValueError:  # the bracket holds no minimum
+        return math.nan
     return float(found.x - t0)
 
 

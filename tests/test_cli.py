@@ -123,6 +123,19 @@ class TestOracle:
         assert rows[0][1] < 1e-2
         assert "R_avg" in header
 
+    def test_increasing_grids_run_in_order(self):
+        proc = run_cli("oracle", "--set", "n_modes=250,500", "--workers", "1",
+                       check=True)
+        _, _, rows = parse_dataset(proc.stdout)
+        assert [row[0] for row in rows] == [250, 500]
+
+    def test_non_increasing_grids_exit_2(self):
+        for sizes in ("500,250", "250,250"):
+            proc = run_cli("oracle", "--set", f"n_modes={sizes}",
+                           "--workers", "1")
+            assert proc.returncode == 2
+            assert b"strictly increasing" in proc.stderr
+
     def test_uncleared_pulse_exits_3(self):
         proc = run_cli("oracle", "--set", "n_modes=250",
                        "--set", "t_final=26", "--workers", "1")
@@ -212,9 +225,11 @@ class TestPlumbing:
         assert proc.returncode == 2
 
     def test_zero_workers_exits_2(self):
-        proc = run_cli("g2", "--set", "purcell=1,2", "--set", "n_times=5",
-                       "--workers", "0")
-        assert proc.returncode == 2
+        for args in (("g2", "--set", "purcell=1,2", "--set", "n_times=5"),
+                     ("scatter",)):
+            proc = run_cli(*args, "--workers", "0")
+            assert proc.returncode == 2, args
+            assert b"--workers" in proc.stderr
 
     def test_version(self):
         proc = run_cli("--version")

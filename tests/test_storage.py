@@ -125,6 +125,24 @@ class TestMatchedStorage:
         assert outcome.efficiency == pytest.approx(
             matched.target.squared_norm, abs=1e-3)
 
+    def test_detuned_round_trip(self):
+        """A detuned target makes the control's phase integral nonzero."""
+        params = ThreeLevelParams(PARAMS.gamma_pl, PARAMS.gamma_prime_g,
+                                  PARAMS.gamma_es, delta=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            matched = matched_storage(params, duration=50.0, n_samples=4001)
+            emitted, gen_eff = generate_photon(
+                params.with_control(matched.generate_control),
+                matched.target.samples.grid)
+        outcome = store_photon(params, matched.input, matched.store_control)
+        dt = matched.target.samples.dt
+        l2 = math.sqrt(float(np.sum(np.abs(
+            emitted.samples.values - matched.target.samples.values) ** 2))
+                       * dt)
+        assert l2 < 1e-3
+        assert outcome.efficiency == pytest.approx(gen_eff, abs=1e-6)
+
     def test_efficiency_grows_with_duration(self):
         effs = [
             store_photon(PARAMS, m.input, m.store_control).efficiency
