@@ -60,6 +60,10 @@ _ODE_ATOL = 1e-12
 _CS_GUARD = 1e-6
 _BOOKKEEPING_TOL = 1e-6
 _FEASIBILITY_MARGIN = 1e-4
+# largest control phase advance per sample the spline inversion resolves:
+# at 1.86 rad the regenerated pulse misses its target by L2 ~3e-4, at 3.72
+# rad by ~1e-2
+_MAX_PHASE_STEP = 2.0
 
 
 @dataclass(frozen=True)
@@ -274,7 +278,9 @@ def control_for_target_pulse(
     Division is guarded at |c_s| <= 1e-6: from the first sample where the
     guard holds the control is zero, and if more than 1e-5 of the target is
     still unemitted there, the target demands more than the gamma_pl/Gamma
-    efficiency bound and is rejected.
+    efficiency bound and is rejected. A detuned target whose phase advances
+    by more than 2 rad between samples (the rate grows as |c_s|^2 falls) is
+    rejected as undersampled.
     """
     if params.gamma_pl <= 0.0:
         raise ValueError("gamma_pl must be positive to emit into the waveguide")
@@ -302,6 +308,15 @@ def control_for_target_pulse(
                  + (gamma / 2.0 - 1j * params.delta) * c_e)[:stop]
     cs2 = cs2[:stop]
     phase_rate = -np.imag(np.conj(numerator) * c_e[:stop]) / cs2
+    max_rate = float(np.max(np.abs(phase_rate), initial=0.0))
+    if dt * max_rate > _MAX_PHASE_STEP:
+        # finer samples land nearer the rate's peak: 1 % headroom covers that
+        needed = math.ceil(
+            1.01 * (t[-1] - t[0]) * max_rate / _MAX_PHASE_STEP) + 1
+        raise ValueError(
+            f"control phase undersampled: it advances {dt * max_rate:.3g} "
+            f"rad per sample (limit {_MAX_PHASE_STEP:g}); sample the target "
+            f"at least {needed} times over the same span")
     phase = CubicSpline(t[:stop], phase_rate).antiderivative()(t[:stop])
     omega = np.zeros(len(t), dtype=complex)
     omega[:stop] = numerator / (1j * np.sqrt(cs2) * np.exp(1j * phase))

@@ -261,7 +261,8 @@ def test_criterion_5_jump_ratios():
 def test_criterion_6_oracle_convergence():
     params = params_from_purcell(20.0)
     pulse = gaussian_spectrum(0.1)
-    grids = [build_grid(params, n) for n in (250, 500, 1000, 2000)]
+    grids = [build_grid(params, n)
+             for n in (250, 500, 1000, 2000, 4000, 8000)]
     report = convergence_report(grids, pulse)
     errors = [error for _, error in report.rows]
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
@@ -274,7 +275,8 @@ def test_criterion_6_oracle_convergence():
         "6 mode-grid simulation converges to the spectral average",
         passed,
         "error column " + " -> ".join(f"{e:.2e}" for e in errors)
-        + f" (monotone {report.monotone}); n=2000 (R, T, kappa) devs "
+        + f" (monotone {report.monotone}); "
+        + f"n={grids[-1].n_modes} (R, T, kappa) devs "
         + ", ".join(f"{d:.1e}" for d in devs) + " (tol 1e-2)")
     assert passed
 

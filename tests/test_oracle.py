@@ -11,6 +11,11 @@ from plasmonqed.core import (
     params_from_purcell,
 )
 from plasmonqed.oracle import (
+    _bessel_j,
+    _initial_amplitudes,
+    _propagate,
+    _spectral_bound,
+    _term_count,
     build_grid,
     convergence_report,
     golden_rule_rate,
@@ -62,6 +67,37 @@ class TestBuildGrid:
     def test_rejects_narrow_window(self):
         with pytest.raises(ValueError, match="narrow"):
             build_grid(P20, 250, k_span=10.0)
+
+
+class TestChebyshevPropagator:
+    @pytest.mark.parametrize("x", [0.5, 3.0, 80.0, 4800.0])
+    def test_bessel_matches_scipy(self, x):
+        from scipy.special import jv
+
+        count = _term_count(x)
+        orders = np.arange(count)
+        assert np.max(np.abs(_bessel_j(x, count) - jv(orders, x))) < 1e-12
+
+    def test_bessel_at_zero(self):
+        assert np.array_equal(_bessel_j(0.0, 4), [1.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("gamma_prime", [0.048, 0.5])
+    @pytest.mark.parametrize("t", [0.7, 3.0, 10.0])
+    def test_matches_dense_exponential(self, gamma_prime, t):
+        from scipy.linalg import expm
+
+        grid = build_grid(P20, 40)
+        n = grid.n_modes
+        h = np.diag(np.concatenate(
+            ([-0.5j * gamma_prime], grid.deltas, grid.deltas)))
+        h[0, 1:] = h[1:, 0] = -grid.coupling
+        rng = np.random.default_rng(7)
+        y0 = rng.normal(size=1 + 2 * n) + 1j * rng.normal(size=1 + 2 * n)
+        y0 /= np.linalg.norm(y0)
+        y, snapshots = _propagate(grid, y0, t, gamma_prime)
+        assert np.max(np.abs(y - expm(-1j * t * h) @ y0)) < 1e-12
+        assert len(snapshots) == 1 + math.ceil(t)
+        assert snapshots[-1].time == pytest.approx(t)
 
 
 class TestGoldenRule:
@@ -118,13 +154,22 @@ class TestScatterWavepacket:
         assert result.trajectory[0].time == 0.0
         assert result.trajectory[-1].time == pytest.approx(55.0)
 
-    def test_step_halving_is_converged(self):
+    def test_truncation_is_converged(self):
+        """Fifty Chebyshev terms beyond the default change nothing."""
         grid = build_grid(P20, 250)
-        pulse = gaussian_spectrum(0.1)
-        coarse = scatter_wavepacket(grid, pulse)
-        fine = scatter_wavepacket(grid, pulse, dt=0.1 / grid.k_span)
-        assert abs(coarse.r_sim - fine.r_sim) < 1e-8
-        assert abs(coarse.t_sim - fine.t_sim) < 1e-8
+        y0 = np.zeros(1 + 2 * grid.n_modes, dtype=complex)
+        y0[1:1 + grid.n_modes] = _initial_amplitudes(
+            grid, gaussian_spectrum(0.1), 25.0)
+        # t_final = 60 runs 60 segments of unit length
+        _, radius = _spectral_bound(grid, P20.gamma_prime)
+        default = _term_count(radius * 1.0)
+        observables = []
+        for n_terms in (default, default + 50):
+            y, _ = _propagate(grid, y0, 60.0, P20.gamma_prime, n_terms)
+            t_sim = np.sum(np.abs(y[1:1 + grid.n_modes]) ** 2)
+            r_sim = np.sum(np.abs(y[1 + grid.n_modes:]) ** 2)
+            observables.append(np.array([r_sim, t_sim, 1.0 - r_sim - t_sim]))
+        assert np.max(np.abs(observables[1] - observables[0])) < 1e-12
 
     def test_lossless_narrowband_cancellation(self):
         """A perfectly coupled emitter nulls the forward amplitude.
@@ -152,6 +197,11 @@ class TestScatterWavepacket:
         grid = build_grid(P20, 250)
         with pytest.raises(ValueError, match="recurrence"):
             scatter_wavepacket(grid, gaussian_spectrum(0.1), t_final=90.0)
+
+    def test_rejects_negative_final_time(self):
+        grid = build_grid(P20, 250)
+        with pytest.raises(ValueError, match="backward"):
+            scatter_wavepacket(grid, gaussian_spectrum(0.1), t_final=-5.0)
 
     def test_rejects_spectral_leakage(self):
         grid = build_grid(P20, 250)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -258,6 +259,34 @@ class TestControlInversion:
             FLUX_NORM)
         with pytest.raises(ValueError, match="unemitted"):
             control_for_target_pulse(PARAMS, fast)
+
+    @pytest.mark.parametrize("n_samples", [2001, 4001])
+    def test_rejects_undersampled_detuned_phase(self, n_samples):
+        """The phase rate delta |c_e|^2/|c_s|^2 peaks as |c_s|^2 -> 1e-4."""
+        params = ThreeLevelParams(PARAMS.gamma_pl, PARAMS.gamma_prime_g,
+                                  PARAMS.gamma_es, delta=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            with pytest.raises(ValueError, match="undersampled") as exc:
+                matched_storage(params, duration=10.0, n_samples=n_samples)
+            named = int(re.search(r"at least (\d+) times",
+                                  str(exc.value)).group(1))
+            assert 4001 < named < 8001
+            matched_storage(params, duration=10.0, n_samples=named)
+
+    def test_resolved_detuned_phase_round_trips(self):
+        params = ThreeLevelParams(PARAMS.gamma_pl, PARAMS.gamma_prime_g,
+                                  PARAMS.gamma_es, delta=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            matched = matched_storage(params, duration=10.0, n_samples=8001)
+            emitted, _ = generate_photon(
+                params.with_control(matched.generate_control),
+                matched.target.samples.grid)
+        l2 = math.sqrt(float(np.sum(np.abs(
+            emitted.samples.values - matched.target.samples.values) ** 2))
+                       * matched.target.samples.dt)
+        assert l2 < 1e-3
 
     def test_rejects_decoupled_emitter(self):
         p = ThreeLevelParams(0.0, 0.5, 0.5)
