@@ -13,9 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -32,8 +30,8 @@ from .core import (
     params_from_purcell,
 )
 from .correlations import g2, g2_weakfield_analytic, jump_state
-from .oracle import build_grid, scatter_wavepacket
-from .scatter import pulse_averaged_rt, scatter_spectrum
+from .oracle import build_grid, convergence_report
+from .scatter import scatter_spectrum
 from .storage import (
     ThreeLevelParams,
     conditional_mirror,
@@ -88,9 +86,12 @@ _DEFAULTS = {
 
 def _parse_float(text: str, key: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {text!r}") from None
+    if math.isnan(value):
+        raise ConfigError(f"{key}: expected a number, not NaN ({text!r})")
+    return value
 
 
 def _parse_int(text: str, key: str) -> int:
@@ -112,11 +113,18 @@ def _parse_floats(text: str, key: str) -> np.ndarray:
         if n < 2 or hi <= lo:
             raise ConfigError(f"{key}: need hi > lo and n >= 2 in {text!r}")
         return np.linspace(lo, hi, n)
-    return np.array([_parse_float(p, key) for p in text.split(",") if p != ""])
+    return np.array(_parse_list(text, key, _parse_float))
 
 
 def _parse_ints(text: str, key: str) -> list[int]:
-    return [_parse_int(p, key) for p in text.split(",") if p != ""]
+    return _parse_list(text, key, _parse_int)
+
+
+def _parse_list(text: str, key: str, parse) -> list:
+    values = [parse(p, key) for p in text.split(",") if p != ""]
+    if not values:
+        raise ConfigError(f"{key}: expected at least one value, got {text!r}")
+    return values
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -187,13 +195,6 @@ def _write_dataset(out_path, command, config, seed, columns, rows,
             handle.write(text)
 
 
-def _map_ordered(fn, items, workers):
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 def cmd_scatter(config, args):
     purcell = _parse_float(config["purcell"], "purcell")
     deltas = _parse_floats(config["delta"], "delta")
@@ -221,13 +222,6 @@ def cmd_saturation(config, args):
                    rows)
 
 
-def _g2_worker(task):
-    purcell, omega, branch, tmax, n_times = task
-    params = params_from_purcell(purcell, omega_c=omega)
-    times = np.linspace(0.0, tmax, n_times)
-    return g2(params, branch, times).values
-
-
 def cmd_g2(config, args):
     purcells = _parse_floats(config["purcell"], "purcell")
     omega = _parse_float(config["omega"], "omega")
@@ -242,10 +236,10 @@ def cmd_g2(config, args):
     if tmax <= 0 or n_times < 2:
         raise ConfigError("need tmax > 0 and n_times >= 2")
     times = np.linspace(0.0, tmax, n_times)
-    tasks = [(float(p), omega, branch, tmax, n_times) for p in purcells]
-    curves = _map_ordered(_g2_worker, tasks, args.workers)
+    curves = [g2(params_from_purcell(float(p), omega_c=omega), branch,
+                 times).values for p in purcells]
     columns = ["t"] + [f"g2_P{p:g}" for p in purcells]
-    table = [times] + list(curves)
+    table = [times] + curves
     if branch == "transmitted":
         columns += [f"analytic_P{p:g}" for p in purcells]
         table += [g2_weakfield_analytic(float(p), times) for p in purcells]
@@ -272,15 +266,6 @@ def cmd_jump(config, args):
                     "coherence_weak_limit", "amplitude_weak_limit"], rows)
 
 
-def _oracle_worker(task):
-    n_modes, purcell, sigma, spacing, t_peak, t_final = task
-    params = params_from_purcell(purcell)
-    grid = build_grid(params, n_modes, k_span=spacing * n_modes)
-    pulse = gaussian_spectrum(sigma)
-    result = scatter_wavepacket(grid, pulse, t_final=t_final, t_peak=t_peak)
-    return result.r_sim, result.t_sim, result.loss_sim
-
-
 def cmd_oracle(config, args):
     purcell = _parse_float(config["purcell"], "purcell")
     sigma = _parse_float(config["sigma"], "sigma")
@@ -290,16 +275,13 @@ def cmd_oracle(config, args):
     t_final = _parse_float(config["t_final"], "t_final")
     if sigma <= 0 or spacing <= 0:
         raise ConfigError("sigma and spacing must be positive")
-    if any(b <= a for a, b in zip(n_modes, n_modes[1:])):
-        raise ConfigError("n_modes: must be strictly increasing")
     params = params_from_purcell(purcell)
-    pulse = gaussian_spectrum(sigma)
-    r_avg, t_avg, _ = pulse_averaged_rt(params, pulse)
-    tasks = [(n, purcell, sigma, spacing, t_peak, t_final) for n in n_modes]
-    results = _map_ordered(_oracle_worker, tasks, args.workers)
-    rows = []
-    for n, (r_sim, t_sim, loss_sim) in zip(n_modes, results):
-        rows.append((n, abs(r_sim - r_avg), r_sim, t_sim, loss_sim))
+    grids = [build_grid(params, n, k_span=spacing * n) for n in n_modes]
+    report = convergence_report(grids, gaussian_spectrum(sigma),
+                                t_peak=t_peak, t_final=t_final)
+    r_avg, t_avg, _ = report.reference
+    rows = [(n, error, result.r_sim, result.t_sim, result.loss_sim)
+            for (n, error), result in zip(report.rows, report.results)]
     final_error = rows[-1][1]
     if not final_error < 1e-2:
         raise InvariantViolation(
@@ -420,9 +402,9 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="output path (default: stdout)")
         cmd.add_argument("--seed", type=int, default=0,
                          help="random seed for stochastic commands")
-        cmd.add_argument("--workers", type=int,
-                         default=max(1, os.cpu_count() or 1),
-                         help="worker processes for sweep points")
+        cmd.add_argument("--workers", type=int, default=1,
+                         help="accepted for compatibility; every subcommand "
+                              "runs in-process")
     return parser
 
 

@@ -274,12 +274,19 @@ def scatter_wavepacket(
     The pulse is a unit-norm spectral envelope; it is launched so its peak
     reaches the emitter at ``t_peak`` and the run ends at ``t_final``
     (default ``t_peak + 35``), by which time the pulse must have cleared the
-    emitter (|c_e|^2 < 1e-6, enforced). Runs must stay clear of the discrete
-    recurrence at 2 pi / spacing, when the scattered packet wraps around the
-    box and hits the emitter a second time.
+    emitter (|c_e|^2 < 1e-6, enforced). A run that ends by ``t_peak`` is
+    rejected: the pulse has not yet reached the emitter, so |c_e|^2 is still
+    small and the cleared check would pass on an unscattered packet. Runs must
+    stay clear of the discrete recurrence at 2 pi / spacing, when the
+    scattered packet wraps around the box and hits the emitter a second time.
     """
     if t_final is None:
         t_final = t_peak + 35.0
+    # a negative t_final is left to _propagate, which rejects it as backward
+    if 0.0 <= t_final <= t_peak:
+        raise ValueError(
+            f"t_final = {t_final} ends the run before the pulse peak reaches "
+            f"the emitter at t_peak = {t_peak}")
     if t_final > t_peak + 0.8 * grid.recurrence_time:
         raise ValueError(
             f"t_final = {t_final} reaches the mode-grid recurrence "

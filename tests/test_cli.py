@@ -136,6 +136,14 @@ class TestOracle:
             assert proc.returncode == 2
             assert b"strictly increasing" in proc.stderr
 
+    def test_run_ending_before_peak_exits_2(self):
+        proc = run_cli("oracle", "--set", "n_modes=250",
+                       "--set", "t_final=0.5", "--workers", "1")
+        assert proc.returncode == 2
+        assert b"config error" in proc.stderr
+        assert b"t_final = 0.5" in proc.stderr
+        assert b"t_peak = 25" in proc.stderr
+
     def test_uncleared_pulse_exits_3(self):
         proc = run_cli("oracle", "--set", "n_modes=250",
                        "--set", "t_final=26", "--workers", "1")
@@ -223,6 +231,15 @@ class TestPlumbing:
     def test_empty_range_exits_2(self):
         proc = run_cli("scatter", "--set", "delta=0:0:5")
         assert proc.returncode == 2
+
+    def test_empty_list_or_nan_exits_2(self):
+        for command, item in (("g2", "purcell="), ("saturation", "omega="),
+                              ("jump", "omega="), ("oracle", "n_modes="),
+                              ("scatter", "delta=nan")):
+            proc = run_cli(command, "--set", item)
+            key = item.partition("=")[0]
+            assert proc.returncode == 2, (command, item)
+            assert b"config error: " + key.encode() in proc.stderr
 
     def test_zero_workers_exits_2(self):
         for args in (("g2", "--set", "purcell=1,2", "--set", "n_times=5"),

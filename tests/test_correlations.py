@@ -10,7 +10,6 @@ from plasmonqed.correlations import (
     G2Curve,
     antibunching_time,
     g2,
-    g2_from_jump,
     g2_value,
     g2_weakfield_analytic,
     jump_state,
@@ -170,14 +169,38 @@ class TestJumpState:
             jump_state(params_from_purcell(20.0), "reflected")
 
 
-class TestEvaluationPathsAgree:
-    @pytest.mark.parametrize("branch", ["transmitted", "reflected"])
-    def test_regression_equals_jump_propagation(self, branch):
-        p = params_from_purcell(20.0, omega_c=0.3)
-        times = np.linspace(0.0, 10.0, 101)
-        a = g2(p, branch, times).values
-        b = g2_from_jump(p, branch, times).values
-        assert np.max(np.abs(a - b)) < 1e-9
+def resonance_fluorescence_g2(omega, t):
+    """Kimble & Mandel (1976) resonant g2 of a driven two-level emitter.
+
+    Times in 1/Gamma; mu = sqrt((2 omega)^2 - 1/16) turns imaginary below
+    omega = 1/8, where the oscillation becomes a second decay rate.
+    """
+    mu2 = (2.0 * omega) ** 2 - 1.0 / 16.0
+    decay = np.exp(-0.75 * t)
+    if mu2 > 0.0:
+        mu = math.sqrt(mu2)
+        return 1.0 - decay * (np.cos(mu * t) + 0.75 / mu * np.sin(mu * t))
+    if mu2 < 0.0:
+        kappa = math.sqrt(-mu2)
+        return 1.0 - decay * (np.cosh(kappa * t)
+                              + 0.75 / kappa * np.sinh(kappa * t))
+    return 1.0 - decay * (1.0 + 0.75 * t)
+
+
+class TestReflectedClosedForm:
+    @pytest.mark.parametrize("omega", [1e-3, 0.05, 0.125, 0.2, 1.0, 5.0])
+    @pytest.mark.parametrize("purcell", [0.5, 5.0, 20.0, 200.0])
+    def test_matches_resonance_fluorescence(self, purcell, omega):
+        """The reflected field is proportional to sigma_ge at every drive.
+
+        omega = 0.125 is the exceptional point mu = 0, where the propagator
+        family falls back to the matrix exponential.
+        """
+        times = np.linspace(0.0, 20.0, 401)
+        curve = g2(params_from_purcell(purcell, omega_c=omega), "reflected",
+                   times)
+        expected = resonance_fluorescence_g2(omega, times)
+        assert np.max(np.abs(curve.values - expected)) <= 1e-12
 
 
 class TestCurveValidation:

@@ -198,6 +198,13 @@ class TestScatterWavepacket:
         with pytest.raises(ValueError, match="recurrence"):
             scatter_wavepacket(grid, gaussian_spectrum(0.1), t_final=90.0)
 
+    def test_rejects_run_ending_before_peak(self):
+        grid = build_grid(P20, 250)
+        for t_final in (0.0, 0.5, 25.0):
+            with pytest.raises(ValueError, match="t_peak = 25.0"):
+                scatter_wavepacket(grid, gaussian_spectrum(0.1),
+                                   t_final=t_final)
+
     def test_rejects_negative_final_time(self):
         grid = build_grid(P20, 250)
         with pytest.raises(ValueError, match="backward"):
