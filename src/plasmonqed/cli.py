@@ -110,6 +110,8 @@ def _parse_floats(text: str, key: str) -> np.ndarray:
         lo = _parse_float(parts[0], key)
         hi = _parse_float(parts[1], key)
         n = _parse_int(parts[2], key)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"{key}: range bounds must be finite in {text!r}")
         if n < 2 or hi <= lo:
             raise ConfigError(f"{key}: need hi > lo and n >= 2 in {text!r}")
         return np.linspace(lo, hi, n)
@@ -198,6 +200,8 @@ def _write_dataset(out_path, command, config, seed, columns, rows,
 def cmd_scatter(config, args):
     purcell = _parse_float(config["purcell"], "purcell")
     deltas = _parse_floats(config["delta"], "delta")
+    if not np.all(np.isfinite(deltas)):
+        raise ConfigError("delta: detunings must be finite")
     params = params_from_purcell(purcell)
     points = scatter_spectrum(params, deltas)
     rows = [(p.delta, p.reflectance, p.transmittance, p.loss) for p in points]
@@ -231,6 +235,9 @@ def cmd_g2(config, args):
                           f"got {branch!r}")
     if omega <= 0:
         raise ConfigError("omega: must be positive")
+    if branch == "transmitted" and not np.all(np.isfinite(purcells)):
+        raise ConfigError("purcell: the transmitted branch's weak-field "
+                          "column needs finite P")
     tmax = _parse_float(config["tmax"], "tmax")
     n_times = _parse_int(config["n_times"], "n_times")
     if tmax <= 0 or n_times < 2:
@@ -345,12 +352,7 @@ def cmd_transistor(config, args):
         raise ConfigError("gate: must be 0 or 1")
     if signals < 0 or trials < 1 or duration <= 0:
         raise ConfigError("need signals >= 0, trials >= 1, duration > 0")
-    gamma_es = 1.0 / (1.0 + branching)
-    gamma_pl = purcell / (1.0 + purcell)
-    gamma_prime_g = 1.0 / (1.0 + purcell) - gamma_es
-    if gamma_prime_g < 0:
-        gamma_prime_g = 0.0
-    params = ThreeLevelParams(gamma_pl, gamma_prime_g, gamma_es)
+    params = _three_level_from(purcell, 1.0 / (1.0 + branching))
     mirror = conditional_mirror("g", params.as_two_level())
     gain = transistor_gain(params, trials, args.seed)
     run = run_transistor(params, gate, signals, seed=args.seed,
@@ -421,6 +423,9 @@ def main(argv=None) -> int:
         return 2
     except InvariantViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:
+        print(f"numerical overflow: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

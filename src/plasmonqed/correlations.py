@@ -63,6 +63,11 @@ class G2Curve:
         values = np.asarray(self.values, dtype=float)
         if values.shape != (len(self.times),):
             raise ValueError("values must match the time grid length")
+        if not np.all(np.isfinite(values)):
+            raise InvariantViolation(
+                "g2-non-finite",
+                f"{np.count_nonzero(~np.isfinite(values))} of {values.size} "
+                "values")
         if np.min(values) < _CLIP_FLOOR:
             raise InvariantViolation(
                 "g2-negativity", f"minimum value {np.min(values)!r}")
@@ -164,6 +169,9 @@ def jump_state(params: EmitterParams, branch: str) -> JumpState:
         raise ValueError(f"zero detection probability on the {branch} branch")
     rho_jump = unnormalized / norm
     rho_jump = 0.5 * (rho_jump + rho_jump.conj().T)
+    if not np.all(np.isfinite(rho_jump)):
+        raise InvariantViolation(
+            "jump-state-non-finite", f"detection probability {norm!r}")
     mean_ss = complex(np.trace(rho_ss @ a))
     mean_jump = complex(np.trace(rho_jump @ a))
     if mean_ss == 0:

@@ -9,9 +9,11 @@ afterwards routes signal photons by reflection (state |g>) or transmission
 Single-excitation amplitude equations (times in 1/Gamma, Gamma the total
 |e> linewidth including the control-free decay to |s>):
 
-    generation:  dc_e/dt = (i delta - Gamma/2) c_e + i Omega(t) c_s
-                 dc_s/dt = i conj(Omega(t)) c_e,      output v = sqrt(gamma_pl) c_e
-    storage:     same plus the drive term  + sqrt(gamma_pl) E_in(t)  on c_e
+    dc_e/dt = (i delta - Gamma/2) c_e + i Omega(t) c_s + sqrt(gamma_pl) E(t)
+    dc_s/dt = i conj(Omega(t)) c_e,        output E - sqrt(gamma_pl) c_e
+
+Generation starts in |s> with no drive (E = 0); storage starts in |g> and
+is driven by the incoming photon. Both integrate this one system.
 
 Storage with the time reverse of a generation control and pulse is impedance
 matched: a unit photon is stored with probability gamma_pl/Gamma, which is
@@ -156,36 +158,53 @@ class MatchedStorage:
     target: PulseShape
 
 
-def _check_grid(series: TimeSeries, other: TimeSeries) -> None:
-    if (
-        len(series) != len(other)
-        or abs(series.t0 - other.t0) > 1e-9
-        or abs(series.dt - other.dt) > 1e-12
-    ):
+def _check_grid(series: TimeSeries, grid) -> None:
+    grid = np.asarray(grid, dtype=float)
+    if (grid.shape != (len(series),)
+            or not np.allclose(grid, series.grid, rtol=0.0, atol=1e-9)):
         raise ValueError("pulse and control must share one time grid")
 
 
-def _complex_spline(grid: np.ndarray, values: np.ndarray):
-    re = CubicSpline(grid, np.real(values))
-    im = CubicSpline(grid, np.imag(values))
-    lo, hi = float(grid[0]), float(grid[-1])
+def _evolve(params: ThreeLevelParams, control: TimeSeries,
+            drive: np.ndarray, c_s0: float) -> np.ndarray:
+    """Amplitudes and running integrals at the control's samples.
 
-    def evaluate(t: float) -> complex:
-        if t < lo or t > hi:
-            return 0.0 + 0.0j
-        return complex(re(t), im(t))
+    Integrates [c_e, c_s, lost, out] from c_e = 0, c_s = c_s0 with
 
-    return evaluate
+        dc_e/dt = (i delta - Gamma/2) c_e + i Omega c_s + sqrt(gamma_pl) E
+        dc_s/dt = i conj(Omega) c_e
+        dlost/dt = (gamma'_g + gamma_es) |c_e|^2
+        dout/dt = |E - sqrt(gamma_pl) c_e|^2
 
+    where Omega and the drive E are cubic splines through the samples.
+    """
+    t = control.grid
+    fields = CubicSpline(t, np.stack([control.values, drive], axis=1))
+    decay = 1j * params.delta - params.gamma_total / 2.0
+    root_pl = math.sqrt(params.gamma_pl)
+    gamma_other = params.gamma_prime_g + params.gamma_es
 
-def _uniform_grid(t_grid) -> np.ndarray:
-    t = np.asarray(t_grid, dtype=float)
-    if t.ndim != 1 or t.size < 3:
-        raise ValueError("t_grid must be a 1-D grid with at least 3 points")
-    steps = np.diff(t)
-    if np.any(steps <= 0) or not np.allclose(steps, steps[0], rtol=1e-9):
-        raise ValueError("t_grid must be uniform and increasing")
-    return t
+    def rhs(time, y):
+        c_e, c_s, _, _ = y
+        om, field = fields(time)
+        return [
+            decay * c_e + 1j * om * c_s + root_pl * field,
+            1j * np.conj(om) * c_e,
+            gamma_other * abs(c_e) ** 2,
+            abs(field - root_pl * c_e) ** 2,
+        ]
+
+    sol = solve_ivp(
+        rhs, (t[0], t[-1]), np.array([0.0, c_s0, 0.0, 0.0], dtype=complex),
+        method="DOP853", rtol=_ODE_RTOL, atol=_ODE_ATOL, t_eval=t,
+        max_step=(t[-1] - t[0]) / 50.0,
+    )
+    # the solver's fun closes over the solver, a cycle that reaches rhs:
+    # emptying this cell frees the spline now, not at the next cyclic GC
+    del fields
+    if not sol.success:
+        raise InvariantViolation("amplitude-integration", sol.message)
+    return sol.y
 
 
 def gaussian_target(duration: float, n_samples: int = 4001) -> PulseShape:
@@ -211,43 +230,22 @@ def generate_photon(
 
     Returns the emitted waveguide envelope v(t) = sqrt(gamma_pl) c_e(t)
     (flux normalization: its squared norm is the emission efficiency) and
-    the efficiency itself.
+    the efficiency itself. ``t_grid`` must be the control's own grid.
     """
     if params.control is None:
         raise ValueError("generation requires a control pulse in params")
-    t = _uniform_grid(t_grid)
-    omega = _complex_spline(params.control.samples.grid,
-                            params.control.samples.values)
-    gamma = params.gamma_total
-    delta = params.delta
-    root_pl = math.sqrt(params.gamma_pl)
-
-    def rhs(time, y):
-        c_e, c_s, _ = y
-        om = omega(time)
-        return [
-            (1j * delta - gamma / 2.0) * c_e + 1j * om * c_s,
-            1j * np.conj(om) * c_e,
-            params.gamma_pl * abs(c_e) ** 2,
-        ]
-
-    sol = solve_ivp(
-        rhs, (t[0], t[-1]), np.array([0.0, 1.0, 0.0], dtype=complex),
-        method="DOP853", rtol=_ODE_RTOL, atol=_ODE_ATOL, dense_output=True,
-        max_step=(t[-1] - t[0]) / 50.0,
-    )
-    if not sol.success:
-        raise InvariantViolation("generation-integration", sol.message)
-    states = sol.sol(t)
-    efficiency = float(np.real(sol.y[2, -1]))
-    residual = float(abs(sol.y[1, -1]) ** 2)
+    control = params.control.samples
+    _check_grid(control, t_grid)
+    c_e, c_s, _, out = _evolve(params, control,
+                               np.zeros(len(control), dtype=complex), 1.0)
+    residual = float(abs(c_s[-1]) ** 2)
     if residual > 1e-3:
         warnings.warn(
             f"control leaves |c_s|^2 = {residual:.3g} undepleted",
             stacklevel=2)
-    v = root_pl * states[0]
-    pulse = PulseShape(TimeSeries(float(t[0]), float(t[1] - t[0]), v), FLUX_NORM)
-    return pulse, efficiency
+    v = math.sqrt(params.gamma_pl) * c_e
+    pulse = PulseShape(TimeSeries(control.t0, control.dt, v), FLUX_NORM)
+    return pulse, float(np.real(out[-1]))
 
 
 def _departed_population(c_e: np.ndarray, t: np.ndarray,
@@ -340,53 +338,24 @@ def store_photon(
     """
     if not 0.0 <= splitting <= 1.0:
         raise ValueError("splitting must lie in [0, 1]")
-    _check_grid(input_pulse.samples, control.samples)
-    t = input_pulse.samples.grid
+    samples = control.samples
+    _check_grid(samples, input_pulse.samples.grid)
     even_fraction = 0.5 + math.sqrt(splitting * (1.0 - splitting))
-    even_amp = math.sqrt(even_fraction)
-    e_in = _complex_spline(t, even_amp * input_pulse.samples.values)
-    omega = _complex_spline(t, control.samples.values)
-    gamma = params.gamma_total
-    delta = params.delta
-    root_pl = math.sqrt(params.gamma_pl)
-    gamma_other = params.gamma_prime_g + params.gamma_es
-
-    def rhs(time, y):
-        c_e, c_s, _, _ = y
-        om = omega(time)
-        field = e_in(time)
-        out_field = field - root_pl * c_e
-        return [
-            (1j * delta - gamma / 2.0) * c_e + 1j * om * c_s + root_pl * field,
-            1j * np.conj(om) * c_e,
-            gamma_other * abs(c_e) ** 2,
-            abs(out_field) ** 2,
-        ]
-
-    sol = solve_ivp(
-        rhs, (t[0], t[-1]), np.zeros(4, dtype=complex),
-        method="DOP853", rtol=_ODE_RTOL, atol=_ODE_ATOL, dense_output=True,
-        max_step=(t[-1] - t[0]) / 50.0,
-    )
-    if not sol.success:
-        raise InvariantViolation("storage-integration", sol.message)
-    c_e_end, c_s_end, loss_int, leak_int = sol.y[:, -1]
+    c_e, c_s, lost, out = _evolve(
+        params, samples, math.sqrt(even_fraction) * input_pulse.samples.values,
+        0.0)
     budget = input_pulse.squared_norm
-    efficiency = float(abs(c_s_end) ** 2)
-    loss = float(np.real(loss_int))
-    leakage = (float(np.real(leak_int)) + float(abs(c_e_end) ** 2)
+    efficiency = float(abs(c_s[-1]) ** 2)
+    loss = float(np.real(lost[-1]))
+    leakage = (float(np.real(out[-1])) + float(abs(c_e[-1]) ** 2)
                + (1.0 - even_fraction) * budget)
     if abs(efficiency + leakage + loss - budget) > _BOOKKEEPING_TOL:
         raise InvariantViolation(
             "storage-probability-bookkeeping",
             f"eff + leak + loss = {efficiency + leakage + loss!r}, "
             f"input norm = {budget!r}")
-    states = sol.sol(t)
-    dt = float(t[1] - t[0])
-    amplitudes = (
-        TimeSeries(float(t[0]), dt, states[0]),
-        TimeSeries(float(t[0]), dt, states[1]),
-    )
+    amplitudes = (TimeSeries(samples.t0, samples.dt, c_e),
+                  TimeSeries(samples.t0, samples.dt, c_s))
     return StorageResult(efficiency, leakage, loss, amplitudes)
 
 

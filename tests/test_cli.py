@@ -1,10 +1,12 @@
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
 from plasmonqed.bloch import saturation_closed_form
+from plasmonqed.cli import main
 from plasmonqed.core import params_from_purcell
 from plasmonqed.scatter import scatter_point
 
@@ -89,6 +91,12 @@ class TestG2:
         _, columns, rows = parse_dataset(proc.stdout)
         assert columns == ["t", "g2_P2"]
         assert rows[0][1] == 0.0
+
+    def test_infinite_purcell_needs_reflected_branch(self, capsys):
+        assert main(["g2", "--set", "purcell=inf"]) == 2
+        assert "config error: purcell" in capsys.readouterr().err
+        assert main(["g2", "--set", "purcell=inf", "--set", "branch=reflected",
+                     "--set", "n_times=5"]) == 0
 
     def test_worker_count_does_not_change_bytes(self):
         args = ("g2", "--set", "purcell=1,2", "--set", "n_times=21",
@@ -235,11 +243,29 @@ class TestPlumbing:
     def test_empty_list_or_nan_exits_2(self):
         for command, item in (("g2", "purcell="), ("saturation", "omega="),
                               ("jump", "omega="), ("oracle", "n_modes="),
-                              ("scatter", "delta=nan")):
+                              ("scatter", "delta=nan"),
+                              ("scatter", "delta=inf"),
+                              ("scatter", "delta=0:inf:3")):
             proc = run_cli(command, "--set", item)
             key = item.partition("=")[0]
             assert proc.returncode == 2, (command, item)
             assert b"config error: " + key.encode() in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["g2", "--set", "omega=1e50"],
+        ["g2", "--set", "omega=1e100"],
+        ["jump", "--set", "omega=1e160"],
+        ["saturation", "--set", "omega=1e160"],
+    ])
+    def test_extreme_drive_exits_3(self, argv, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        assert captured.err.startswith(("invariant violated: ",
+                                        "numerical overflow: "))
 
     def test_zero_workers_exits_2(self):
         for args in (("g2", "--set", "purcell=1,2", "--set", "n_times=5"),

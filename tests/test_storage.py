@@ -1,9 +1,11 @@
+import gc
 import math
 import re
 import warnings
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from plasmonqed.core import FLUX_NORM, PulseShape, TimeSeries
 from plasmonqed.scatter import scatter_point
@@ -236,8 +238,30 @@ class TestGeneratePhoton:
     def test_rejects_nonuniform_grid(self):
         matched = matched_pair(2.0)
         p = PARAMS.with_control(matched.generate_control)
-        with pytest.raises(ValueError):
-            generate_photon(p, np.array([0.0, 0.5, 2.0]))
+        grid = matched.generate_control.samples.grid
+        for t_grid in (np.array([0.0, 0.5, 2.0]), grid + 1e-6,
+                       np.linspace(grid[0], grid[-1], len(grid) + 1)):
+            with pytest.raises(ValueError, match="time grid"):
+                generate_photon(p, t_grid)
+
+    def test_frees_splines_without_cyclic_gc(self):
+        def splines():
+            return sum(isinstance(o, CubicSpline) for o in gc.get_objects())
+
+        matched = matched_pair(10.0)
+        gc.collect()
+        gc.disable()
+        try:
+            before = splines()
+            store_photon(PARAMS, matched.input, matched.store_control)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                generate_photon(PARAMS.with_control(matched.generate_control),
+                                matched.target.samples.grid)
+            after = splines()
+        finally:
+            gc.enable()
+        assert after == before
 
 
 class TestControlInversion:
