@@ -1,128 +1,8 @@
 """Single two- and three-level emitters coupled to a one-dimensional
 photonic channel: scattering spectra, saturation, photon statistics,
-wavepacket simulation, storage, and single-photon switching."""
+wavepacket simulation, storage, and single-photon switching.
+
+The API lives in the modules (``from plasmonqed.scatter import
+pulse_averaged_rt``); importing the package loads none of them."""
 
 __version__ = "0.1.0"
-
-from .core import (
-    EmitterParams,
-    InvariantViolation,
-    PulseShape,
-    TimeSeries,
-    gaussian_spectrum,
-    make_params,
-    params_from_purcell,
-)
-from .scatter import (
-    ScatterPoint,
-    pulse_averaged_rt,
-    reflection_coefficient,
-    scatter_point,
-    scatter_spectrum,
-)
-from .bloch import (
-    FieldObservables,
-    Propagator,
-    PropagatorFamily,
-    field_observables,
-    field_operator,
-    hamiltonian,
-    liouvillian,
-    propagate,
-    propagator,
-    saturation_closed_form,
-    steady_state,
-    validate_density_matrix,
-)
-from .correlations import (
-    G2Curve,
-    G2Evaluator,
-    JumpState,
-    antibunching_time,
-    g2,
-    g2_value,
-    g2_weakfield_analytic,
-    jump_state,
-)
-from .oracle import (
-    ConvergenceReport,
-    ExcitationState,
-    ModeGrid,
-    OracleResult,
-    build_grid,
-    convergence_report,
-    golden_rule_rate,
-    scatter_wavepacket,
-)
-from .storage import (
-    GainEstimate,
-    MatchedStorage,
-    StorageResult,
-    ThreeLevelParams,
-    TransistorRun,
-    conditional_mirror,
-    control_for_target_pulse,
-    gaussian_target,
-    generate_photon,
-    matched_storage,
-    run_transistor,
-    store_photon,
-    transistor_gain,
-)
-
-__all__ = [
-    "__version__",
-    "EmitterParams",
-    "InvariantViolation",
-    "PulseShape",
-    "TimeSeries",
-    "gaussian_spectrum",
-    "make_params",
-    "params_from_purcell",
-    "ScatterPoint",
-    "pulse_averaged_rt",
-    "reflection_coefficient",
-    "scatter_point",
-    "scatter_spectrum",
-    "FieldObservables",
-    "Propagator",
-    "PropagatorFamily",
-    "field_observables",
-    "field_operator",
-    "hamiltonian",
-    "liouvillian",
-    "propagate",
-    "propagator",
-    "saturation_closed_form",
-    "steady_state",
-    "validate_density_matrix",
-    "G2Curve",
-    "G2Evaluator",
-    "JumpState",
-    "antibunching_time",
-    "g2",
-    "g2_value",
-    "g2_weakfield_analytic",
-    "jump_state",
-    "ConvergenceReport",
-    "ExcitationState",
-    "ModeGrid",
-    "OracleResult",
-    "build_grid",
-    "convergence_report",
-    "golden_rule_rate",
-    "scatter_wavepacket",
-    "GainEstimate",
-    "MatchedStorage",
-    "StorageResult",
-    "ThreeLevelParams",
-    "TransistorRun",
-    "conditional_mirror",
-    "control_for_target_pulse",
-    "gaussian_target",
-    "generate_photon",
-    "matched_storage",
-    "run_transistor",
-    "store_photon",
-    "transistor_gain",
-]

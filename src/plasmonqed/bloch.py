@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import EmitterParams, InvariantViolation
 
@@ -113,16 +112,16 @@ class PropagatorFamily:
 
     Falls back to scaling-and-squaring per call when the eigenvector matrix is
     too ill-conditioned to invert accurately (near exceptional points of the
-    generator).
+    generator). ``eigenvalues`` holds the generator's spectrum either way.
     """
 
     def __init__(self, params: EmitterParams):
         self.params = params
         self.generator = liouvillian(params)
         w, v = np.linalg.eig(self.generator)
+        self.eigenvalues = w
         cond = np.linalg.cond(v)
         if math.isfinite(cond) and cond < _EIG_COND_LIMIT:
-            self._eigenvalues = w
             self._vectors = v
             self._inverse = np.linalg.inv(v)
             self.diagonalizable = True
@@ -133,7 +132,11 @@ class PropagatorFamily:
         if t < 0:
             raise ValueError("propagation time must be >= 0")
         if self.diagonalizable:
-            return (self._vectors * np.exp(self._eigenvalues * t)) @ self._inverse
+            return (self._vectors * np.exp(self.eigenvalues * t)) @ self._inverse
+        # Imported here, not at the top: only this fallback needs scipy, so
+        # every diagonalizable caller runs without loading it.
+        import scipy.linalg
+
         return scipy.linalg.expm(self.generator * t)
 
     def propagator(self, t: float) -> Propagator:

@@ -32,14 +32,6 @@ from .core import (
 from .correlations import g2, g2_weakfield_analytic, jump_state
 from .oracle import build_grid, convergence_report
 from .scatter import scatter_spectrum
-from .storage import (
-    ThreeLevelParams,
-    conditional_mirror,
-    matched_storage,
-    run_transistor,
-    store_photon,
-    transistor_gain,
-)
 
 __all__ = ["main"]
 
@@ -84,6 +76,16 @@ _DEFAULTS = {
 }
 
 
+# Largest accepted value of each size key: far above every default, and
+# small enough that the largest run fits in memory and ends in minutes.
+_SIZE_CAPS = {
+    "n_times": 100_000,
+    "n_modes": 20_000,
+    "n_samples": 100_000,
+    "trials": 10_000_000,
+}
+
+
 def _parse_float(text: str, key: str) -> float:
     try:
         value = float(text)
@@ -96,9 +98,13 @@ def _parse_float(text: str, key: str) -> float:
 
 def _parse_int(text: str, key: str) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
+    cap = _SIZE_CAPS.get(key)
+    if cap is not None and value > cap:
+        raise ConfigError(f"{key}: at most {cap} allowed, got {value}")
+    return value
 
 
 def _parse_floats(text: str, key: str) -> np.ndarray:
@@ -212,6 +218,7 @@ def cmd_scatter(config, args):
 def cmd_saturation(config, args):
     purcell = _parse_float(config["purcell"], "purcell")
     omegas = _parse_floats(config["omega"], "omega")
+    columns = ["omega", "T_closed", "R_closed", "T_numeric", "R_numeric"]
     rows = []
     for omega in omegas:
         if omega <= 0:
@@ -219,11 +226,14 @@ def cmd_saturation(config, args):
         t_closed, r_closed = saturation_closed_form(purcell, omega)
         params = params_from_purcell(purcell, omega_c=omega)
         obs = field_observables(params, steady_state(params))
-        rows.append((omega, t_closed, r_closed,
-                     obs.transmittance, obs.reflectance))
-    _write_dataset(args.out, "saturation", config, args.seed,
-                   ["omega", "T_closed", "R_closed", "T_numeric", "R_numeric"],
-                   rows)
+        row = (omega, t_closed, r_closed, obs.transmittance, obs.reflectance)
+        bad = [name for name, v in zip(columns, row) if not math.isfinite(v)]
+        if bad:
+            raise InvariantViolation(
+                "saturation-non-finite",
+                f"{', '.join(bad)} at omega = {float(omega)!r}")
+        rows.append(row)
+    _write_dataset(args.out, "saturation", config, args.seed, columns, rows)
 
 
 def cmd_g2(config, args):
@@ -300,7 +310,11 @@ def cmd_oracle(config, args):
                    rows, summary)
 
 
-def _three_level_from(purcell: float, gamma_es: float) -> ThreeLevelParams:
+def _three_level_from(purcell: float, gamma_es: float):
+    # `storage` is imported only by the subcommands that use it: it loads
+    # scipy, whose import takes longer than any other subcommand's work.
+    from .storage import ThreeLevelParams
+
     gamma_pl = purcell / (1.0 + purcell)
     other = 1.0 / (1.0 + purcell)
     if gamma_es < 0 or gamma_es > other + 1e-12:
@@ -310,6 +324,8 @@ def _three_level_from(purcell: float, gamma_es: float) -> ThreeLevelParams:
 
 
 def cmd_storage(config, args):
+    from .storage import matched_storage, store_photon
+
     purcell = _parse_float(config["purcell"], "purcell")
     gamma_es = _parse_float(config["gamma_es"], "gamma_es")
     duration = _parse_float(config["duration"], "duration")
@@ -336,6 +352,8 @@ def cmd_storage(config, args):
 
 
 def cmd_transistor(config, args):
+    from .storage import conditional_mirror, run_transistor, transistor_gain
+
     purcell = _parse_float(config["purcell"], "purcell")
     branching = _parse_float(config["branching"], "branching")
     gate = _parse_int(config["gate"], "gate")
@@ -417,7 +435,10 @@ def main(argv=None) -> int:
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
         config = _resolve_config(args.command, args)
-        _COMMANDS[args.command](config, args)
+        # Overflow at extreme drive is caught by the finite checks and
+        # reported below as one line; numpy's warnings would only precede it.
+        with np.errstate(all="ignore"):
+            _COMMANDS[args.command](config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -425,7 +446,7 @@ def main(argv=None) -> int:
         print(f"invariant violated: {exc}", file=sys.stderr)
         return 3
     except OverflowError as exc:
-        print(f"numerical overflow: {exc}", file=sys.stderr)
+        print(f"numerical overflow: {args.command}: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -49,6 +49,10 @@ __all__ = [
 
 _CLIP_FLOOR = -1e-10
 _DETECTION_FLOOR = 1e-300
+# Largest rounding error eps * max|eigenvalue of L| (in Gamma) the spectral
+# propagator may carry: below it the reflected g2 stays within 1e-5 of its
+# closed form (omega_c <= 1e12 Gamma); at 1e13 Gamma it is off by 1e-3.
+_SPECTRAL_ERROR_LIMIT = 1e-3
 
 
 @dataclass(frozen=True)
@@ -113,6 +117,14 @@ class G2Evaluator:
         self.params = params
         self.branch = branch
         self.family = bloch.PropagatorFamily(params)
+        spectral_error = (np.finfo(float).eps
+                          * np.max(np.abs(self.family.eigenvalues))
+                          / params.gamma_total)
+        if not spectral_error <= _SPECTRAL_ERROR_LIMIT:
+            raise InvariantViolation(
+                "g2-drive-precision",
+                f"eps * max|eigenvalue of L| = {spectral_error:.3g} Gamma, "
+                f"limit {_SPECTRAL_ERROR_LIMIT:g} Gamma")
         self.rho_ss = bloch.steady_state(params)
         self.a = bloch.field_operator(params, branch)
         self.number_op = self.a.conj().T @ self.a

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .core import EmitterParams, InvariantViolation, PulseShape, UNIT_NORM
 
@@ -26,9 +24,7 @@ __all__ = [
     "pulse_averaged_rt",
 ]
 
-_SUM_TOL = 1e-12
-_QUAD_ABS_TOL = 1e-8
-_QUAD_SUM_TOL = 1e-6
+_AVERAGE_SUM_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -79,38 +75,25 @@ def pulse_averaged_rt(
     """Spectrally averaged (R, T, kappa) for a finite-bandwidth photon.
 
     ``spectrum`` is a unit-norm pulse sampled on a *frequency* grid; the
-    averages are integrals of the single-photon probabilities against the
-    spectral intensity |f(delta)|^2. A single-sample spectrum is treated as a
-    monochromatic line. Adaptive quadrature with absolute tolerance 1e-8;
-    finite sampling windows mean the caller is responsible for covering the
-    pulse support (8 rms widths for the built-in Gaussian).
+    averages are the single-photon probabilities summed over its samples
+    with weights |f(delta)|^2 d(delta), the same rule that fixes the unit
+    norm. For a smooth spectrum that decays like a Gaussian inside the
+    window this sum converges exponentially in the sample spacing
+    (Trefethen & Weideman, SIAM Rev. 56, 385 (2014)), and a single-sample
+    spectrum is a monochromatic line. The caller is responsible for
+    covering the pulse support (8 rms widths for the built-in Gaussian).
     """
     if spectrum.norm_convention != UNIT_NORM:
         raise ValueError("spectrum must be unit-normalized in frequency")
-    grid = spectrum.samples.grid
-    if len(grid) == 1:
-        point = scatter_point(params, float(grid[0]))
-        return point.reflectance, point.transmittance, point.loss
-
-    intensity = CubicSpline(grid, np.abs(spectrum.samples.values) ** 2)
-
-    def averaged(prob):
-        value, _ = quad(
-            lambda d: prob(d) * float(intensity(d)),
-            grid[0], grid[-1], epsabs=_QUAD_ABS_TOL, epsrel=0.0, limit=400,
-        )
-        return value
-
-    def refl(d):
-        return abs(reflection_coefficient(params, d)) ** 2
-
-    def trans(d):
-        return abs(1.0 + reflection_coefficient(params, d)) ** 2
-
-    r_bar = averaged(refl)
-    t_bar = averaged(trans)
-    k_bar = averaged(lambda d: 1.0 - refl(d) - trans(d))
-    if abs(r_bar + t_bar + k_bar - 1.0) > _QUAD_SUM_TOL:
+    samples = spectrum.samples
+    weights = np.abs(samples.values) ** 2 * samples.dt
+    r = reflection_coefficient(params, samples.grid)
+    refl = np.abs(r) ** 2
+    trans = np.abs(1.0 + r) ** 2
+    r_bar = float(weights @ refl)
+    t_bar = float(weights @ trans)
+    k_bar = float(weights @ (1.0 - refl - trans))
+    if abs(r_bar + t_bar + k_bar - 1.0) > _AVERAGE_SUM_TOL:
         raise InvariantViolation(
             "spectral-average-normalization",
             f"R + T + kappa = {r_bar + t_bar + k_bar!r}")

@@ -125,6 +125,7 @@ class TestPropagator:
         # propagator must stay a quantum channel straight through it
         p = params_from_purcell(20.0, omega_c=0.125)
         fam = PropagatorFamily(p)
+        assert not fam.diagonalizable
         for t in (0.5, 4.0, 17.0):
             prop = fam.propagator(t)
             assert prop.trace_defect() < 1e-9

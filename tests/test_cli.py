@@ -196,6 +196,28 @@ class TestTransistor:
         assert b"config error" in proc.stderr
 
 
+class TestImports:
+    def test_only_storage_loads_scipy(self, tmp_path):
+        """scipy is loaded by `storage` and by bloch's exceptional-point
+        fallback; no other subcommand at its defaults needs it."""
+        script = f"""
+import sys
+from plasmonqed.cli import main
+loaded = ["scipy" in sys.modules]
+for argv in (["scatter"], ["saturation"], ["g2"], ["jump"],
+             ["oracle", "--set", "n_modes=250"]):
+    assert main(argv + ["--out", {str(tmp_path / "out.dat")!r}]) == 0, argv
+    loaded.append("scipy" in sys.modules)
+import plasmonqed.storage
+loaded.append("scipy" in sys.modules)
+print(*loaded)
+"""
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"] * 6 + ["True"]
+
+
 class TestPlumbing:
     def test_byte_determinism(self):
         args = ("scatter", "--set", "delta=-1:1:5")
@@ -254,18 +276,33 @@ class TestPlumbing:
     @pytest.mark.parametrize("argv", [
         ["g2", "--set", "omega=1e50"],
         ["g2", "--set", "omega=1e100"],
+        ["g2", "--set", "omega=1e16", "--set", "purcell=0.6",
+         "--set", "n_times=5"],
         ["jump", "--set", "omega=1e160"],
+        ["saturation", "--set", "omega=1e154"],
         ["saturation", "--set", "omega=1e160"],
     ])
     def test_extreme_drive_exits_3(self, argv, capsys):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
+            warnings.simplefilter("error", RuntimeWarning)
             assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "Traceback" not in captured.err
-        assert captured.err.startswith(("invariant violated: ",
-                                        "numerical overflow: "))
+        assert captured.err.count("\n") == 1, captured.err
+        assert captured.err.startswith(
+            ("invariant violated: ", f"numerical overflow: {argv[0]}: "))
+
+    @pytest.mark.parametrize("command, key, cap", [
+        ("g2", "n_times", 100_000),
+        ("oracle", "n_modes", 20_000),
+        ("storage", "n_samples", 100_000),
+        ("transistor", "trials", 10_000_000),
+    ])
+    def test_size_caps_exit_2(self, command, key, cap, capsys):
+        for value in (cap + 1, 10**11):
+            assert main([command, "--set", f"{key}={value}"]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: {key}: at most {cap} allowed, got {value}\n")
 
     def test_zero_workers_exits_2(self):
         for args in (("g2", "--set", "purcell=1,2", "--set", "n_times=5"),

@@ -95,6 +95,22 @@ class TestStrongDrive:
         assert np.all(curve.values > 0.9)
         assert np.all(curve.values < 1.1)
 
+    def test_drive_beyond_double_precision_is_rejected(self):
+        """eps * 2 omega_c above 1e-3 Gamma swamps the decay at rate ~Gamma.
+
+        At P = 0.6 and omega_c = 1e16 the curve used to fall from 1 to
+        0.0067 by t = 10, where it stays near 1; omega_c = 1e12 still runs.
+        """
+        times = np.linspace(0.0, 10.0, 5)
+        for omega in (1e13, 1e16):
+            with pytest.raises(InvariantViolation) as exc:
+                g2(params_from_purcell(0.6, omega_c=omega), "transmitted",
+                   times)
+            assert exc.value.invariant == "g2-drive-precision"
+        curve = g2(params_from_purcell(0.6, omega_c=1e12), "transmitted",
+                   times)
+        assert np.max(np.abs(curve.values - 1.0)) < 1e-6
+
 
 class TestReflectedBranch:
     def test_perfect_antibunching_at_zero_delay(self):

@@ -124,6 +124,32 @@ class TestPulseAverage:
         assert r_bar == pytest.approx(scatter_point(P20, 2.0).reflectance,
                                       rel=2e-2)
 
+    @pytest.mark.parametrize("purcell", [0.5, 20.0, 200.0])
+    def test_matches_gauss_legendre_integral(self, purcell):
+        """The sample sum against an independent integral of the analytic
+        Gaussian: R = gamma_pl^2/(Gamma^2 + 4 d^2) and
+        T = (gamma'^2 + 4 d^2)/(Gamma^2 + 4 d^2) against the normal density,
+        by 400-node Gauss-Legendre on each of 16 panels of the +-8 sigma
+        window (the window's tails hold 1.2e-15 of the density)."""
+        params = params_from_purcell(purcell)
+        nodes, node_weights = np.polynomial.legendre.leggauss(400)
+        for sigma in (0.05, 0.1, 1.0):
+            for center in (0.0, 1.3):
+                edges = center + sigma * np.linspace(-8.0, 8.0, 17)
+                half = 0.5 * np.diff(edges)
+                d = ((edges[:-1] + half)[:, None] + half[:, None] * nodes).ravel()
+                w = (half[:, None] * node_weights).ravel()
+                w *= np.exp(-0.5 * ((d - center) / sigma) ** 2)
+                w /= sigma * math.sqrt(2.0 * math.pi)
+                lorentz = params.gamma_total**2 + 4.0 * d**2
+                refl = params.gamma_pl**2 / lorentz
+                trans = (params.gamma_prime**2 + 4.0 * d**2) / lorentz
+                expected = (w @ refl, w @ trans, w @ (1.0 - refl - trans))
+                for n_samples in (1601, 1600):
+                    got = pulse_averaged_rt(params, gaussian_spectrum(
+                        sigma, center=center, n_samples=n_samples))
+                    assert np.max(np.abs(np.subtract(got, expected))) <= 1e-12
+
     def test_requires_unit_norm(self):
         sp = gaussian_spectrum(0.1)
         flux = PulseShape(sp.samples, "flux")
