@@ -57,6 +57,10 @@ SIGMA_EE = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
 
 _I2 = np.eye(2, dtype=complex)
 _EIG_COND_LIMIT = 1e8
+# Taylor degree and scaled 1-norm of the exponential fallback: the
+# truncation error is below 0.5^13/13! e^0.5 = 3e-14
+_TAYLOR_DEGREE = 12
+_TAYLOR_RADIUS = 0.5
 
 
 def hamiltonian(params: EmitterParams) -> np.ndarray:
@@ -110,9 +114,9 @@ class Propagator:
 class PropagatorFamily:
     """Evaluates exp(L t) for many t from one spectral decomposition.
 
-    Falls back to scaling-and-squaring per call when the eigenvector matrix is
-    too ill-conditioned to invert accurately (near exceptional points of the
-    generator). ``eigenvalues`` holds the generator's spectrum either way.
+    Falls back to Taylor scaling-and-squaring per call when the eigenvector
+    matrix is too ill-conditioned to invert accurately (near exceptional
+    points of the generator). ``eigenvalues`` holds the generator's spectrum either way.
     """
 
     def __init__(self, params: EmitterParams):
@@ -133,14 +137,27 @@ class PropagatorFamily:
             raise ValueError("propagation time must be >= 0")
         if self.diagonalizable:
             return (self._vectors * np.exp(self.eigenvalues * t)) @ self._inverse
-        # Imported here, not at the top: only this fallback needs scipy, so
-        # every diagonalizable caller runs without loading it.
-        import scipy.linalg
-
-        return scipy.linalg.expm(self.generator * t)
+        return _expm(self.generator * t)
 
     def propagator(self, t: float) -> Propagator:
         return Propagator(self.matrix(t), float(t))
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a): a Taylor polynomial of a/2^s, 1-norm <= 1/2, squared s times."""
+    norm = float(np.max(np.sum(np.abs(a), axis=0)))
+    if not math.isfinite(norm):
+        raise OverflowError("matrix exponential of a non-finite generator")
+    squarings = max(0, math.ceil(math.log2(norm / _TAYLOR_RADIUS))) \
+        if norm > 0.0 else 0
+    scaled = a / 2.0**squarings
+    eye = np.eye(len(a), dtype=complex)
+    result = eye
+    for k in range(_TAYLOR_DEGREE, 0, -1):
+        result = eye + scaled @ result / k
+    for _ in range(squarings):
+        result = result @ result
+    return result
 
 
 def propagator(params: EmitterParams, t: float) -> Propagator:

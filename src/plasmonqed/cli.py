@@ -85,6 +85,22 @@ _SIZE_CAPS = {
     "trials": 10_000_000,
 }
 
+# Largest number of values in each list key (a comma list or the n of
+# lo:hi:n). Each value costs a whole unit of the subcommand's work: a
+# detuning, a steady state, a g2 curve of n_times delays, an oracle grid.
+_COUNT_CAPS = {
+    "delta": 100_000,
+    "omega": 10_000,
+    "purcell": 10,
+    "n_modes": 10,
+}
+
+
+def _check_cap(caps: dict, key: str, value: int, unit: str = "") -> None:
+    cap = caps.get(key)
+    if cap is not None and value > cap:
+        raise ConfigError(f"{key}: at most {cap}{unit} allowed, got {value}")
+
 
 def _parse_float(text: str, key: str) -> float:
     try:
@@ -101,9 +117,7 @@ def _parse_int(text: str, key: str) -> int:
         value = int(text)
     except ValueError:
         raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
-    cap = _SIZE_CAPS.get(key)
-    if cap is not None and value > cap:
-        raise ConfigError(f"{key}: at most {cap} allowed, got {value}")
+    _check_cap(_SIZE_CAPS, key, value)
     return value
 
 
@@ -120,6 +134,7 @@ def _parse_floats(text: str, key: str) -> np.ndarray:
             raise ConfigError(f"{key}: range bounds must be finite in {text!r}")
         if n < 2 or hi <= lo:
             raise ConfigError(f"{key}: need hi > lo and n >= 2 in {text!r}")
+        _check_cap(_COUNT_CAPS, key, n, " values")
         return np.linspace(lo, hi, n)
     return np.array(_parse_list(text, key, _parse_float))
 
@@ -129,7 +144,9 @@ def _parse_ints(text: str, key: str) -> list[int]:
 
 
 def _parse_list(text: str, key: str, parse) -> list:
-    values = [parse(p, key) for p in text.split(",") if p != ""]
+    parts = [p for p in text.split(",") if p != ""]
+    _check_cap(_COUNT_CAPS, key, len(parts), " values")
+    values = [parse(p, key) for p in parts]
     if not values:
         raise ConfigError(f"{key}: expected at least one value, got {text!r}")
     return values
@@ -311,8 +328,8 @@ def cmd_oracle(config, args):
 
 
 def _three_level_from(purcell: float, gamma_es: float):
-    # `storage` is imported only by the subcommands that use it: it loads
-    # scipy, whose import takes longer than any other subcommand's work.
+    # `storage` is imported only by the subcommands that use it: building
+    # its dataclasses takes about 8 ms, which the others need not pay.
     from .storage import ThreeLevelParams
 
     gamma_pl = purcell / (1.0 + purcell)

@@ -13,7 +13,10 @@ Single-excitation amplitude equations (times in 1/Gamma, Gamma the total
     dc_s/dt = i conj(Omega(t)) c_e,        output E - sqrt(gamma_pl) c_e
 
 Generation starts in |s> with no drive (E = 0); storage starts in |g> and
-is driven by the incoming photon. Both integrate this one system.
+is driven by the incoming photon. Both integrate this one system, by a
+4th-order Magnus step per sample interval; the control that emits a given
+pulse comes from inverting it in closed form on the same samples. Both run
+on numpy alone.
 
 Storage with the time reverse of a generation control and pulse is impedance
 matched: a unit photon is stored with probability gamma_pl/Gamma, which is
@@ -27,8 +30,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .core import (
     EmitterParams,
@@ -57,15 +58,39 @@ __all__ = [
     "run_transistor",
 ]
 
-_ODE_RTOL = 1e-10
-_ODE_ATOL = 1e-12
 _CS_GUARD = 1e-6
 _BOOKKEEPING_TOL = 1e-6
 _FEASIBILITY_MARGIN = 1e-4
-# largest control phase advance per sample the spline inversion resolves:
-# at 1.86 rad the regenerated pulse misses its target by L2 ~3e-4, at 3.72
-# rad by ~1e-2
+# largest control phase advance per sample the inversion resolves: at 1.86
+# rad the regenerated pulse misses its target by L2 3.0e-4, at 3.72 rad by
+# 8.1e-3 (P = 20, delta = 0.5, duration 10)
 _MAX_PHASE_STEP = 2.0
+
+# One-sided 5-point first-derivative stencils (times 12 h) at the first two
+# samples; the last two use them mirrored.
+_END_DERIVATIVE = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
+                            [-3.0, -10.0, 18.0, -6.0, 1.0]])
+
+# Cubic-spline interpolation on the uniform grid: the B-spline coefficients
+# are the samples filtered by sqrt(3) z^|k|, z = sqrt(3) - 2, whose taps fall
+# below 1e-16 beyond |k| = 28. The samples are extended past each end by the
+# cubic through their 4 outermost values, which puts the spline within a few
+# 1e-9 of the not-a-knot one.
+_SPLINE_TAPS = 28
+_PREFILTER = math.sqrt(3.0) * (math.sqrt(3.0) - 2.0) ** np.abs(
+    np.arange(-_SPLINE_TAPS, _SPLINE_TAPS + 1))
+# Lagrange weights of samples 0..3 at the 30 points before the first
+_END_CUBIC = np.array([
+    [math.prod((x - m) / (j - m) for m in range(4) if m != j)
+     for j in range(4)]
+    for x in range(-_SPLINE_TAPS - 2, 0)])
+# the two Gauss-Legendre nodes of a sample interval, as fractions of it
+_GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+
+# Taylor degree and scaled norm of each Magnus step's exponential: the
+# truncation error is below 0.5^13/13! e^0.5 = 3e-14
+_TAYLOR_DEGREE = 12
+_TAYLOR_RADIUS = 0.5
 
 
 @dataclass(frozen=True)
@@ -165,46 +190,184 @@ def _check_grid(series: TimeSeries, grid) -> None:
         raise ValueError("pulse and control must share one time grid")
 
 
-def _evolve(params: ThreeLevelParams, control: TimeSeries,
-            drive: np.ndarray, c_s0: float) -> np.ndarray:
-    """Amplitudes and running integrals at the control's samples.
+def _require_samples(values: np.ndarray, needed: int) -> None:
+    if len(values) < needed:
+        raise ValueError(
+            f"{len(values)} samples are too few for the 4th-order stencils, "
+            f"which need at least {needed}")
 
-    Integrates [c_e, c_s, lost, out] from c_e = 0, c_s = c_s0 with
+
+def _derivative(values: np.ndarray, dt: float) -> np.ndarray:
+    """First derivative at every sample, to 4th order in dt.
+
+    Central differences inside, one-sided 5-point stencils at the two ends.
+    """
+    _require_samples(values, 5)
+    slope = np.empty_like(values)
+    slope[2:-2] = values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] \
+        - values[4:]
+    slope[:2] = _END_DERIVATIVE @ values[:5]
+    slope[-2:] = -(_END_DERIVATIVE @ values[:-6:-1])[::-1]
+    return slope / (12.0 * dt)
+
+
+def _cumulative(values: np.ndarray, dt: float) -> np.ndarray:
+    """Integral from the first sample to each sample, to 4th order in dt.
+
+    Each interval takes dt/24 (-f[i-1] + 13 f[i] + 13 f[i+1] - f[i+2]); the
+    two end intervals use the 4-point rule dt/24 (9, 19, -5, 1) from their
+    own end.
+    """
+    _require_samples(values, 4)
+    steps = np.empty(len(values) - 1, dtype=values.dtype)
+    steps[1:-1] = 13.0 * (values[1:-2] + values[2:-1]) \
+        - (values[:-3] + values[3:])
+    steps[0] = 9.0 * values[0] + 19.0 * values[1] - 5.0 * values[2] \
+        + values[3]
+    steps[-1] = 9.0 * values[-1] + 19.0 * values[-2] - 5.0 * values[-3] \
+        + values[-4]
+    running = np.zeros(len(values), dtype=values.dtype)
+    np.cumsum(steps * (dt / 24.0), out=running[1:])
+    return running
+
+
+def _at_gauss_nodes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cubic spline through the samples at both Gauss nodes of each interval."""
+    _require_samples(values, 4)
+    extended = np.concatenate([_END_CUBIC @ values[:4], values,
+                               (_END_CUBIC @ values[:-5:-1])[::-1]])
+    # coeffs[j] is the B-spline coefficient of sample j - 2
+    coeffs = np.convolve(extended, _PREFILTER, mode="valid")
+    n = len(values)
+    nodes = []
+    for theta in _GAUSS_NODES:
+        weights = ((1.0 - theta) ** 3, 4.0 - 6.0 * theta**2 + 3.0 * theta**3,
+                   1.0 + 3.0 * theta * (1.0 + theta - theta**2), theta**3)
+        nodes.append(sum(w / 6.0 * coeffs[k:n - 1 + k]
+                         for k, w in enumerate(weights, start=1)))
+    return nodes[0], nodes[1]
+
+
+def _compose(later, earlier):
+    """Affine maps y -> P y + q of C^2, elementwise along the arrays.
+
+    Each map is the six arrays (P00, P01, P10, P11, q0, q1); the result
+    applies ``earlier`` first. With ``later`` a generator [[W, w], [0, 0]] of
+    the affine system it is the product of the two 3x3 matrices. The arrays
+    stay separate: stacking them costs more than the arithmetic.
+    """
+    a00, a01, a10, a11, a0, a1 = later
+    b00, b01, b10, b11, b0, b1 = earlier
+    return [a00 * b00 + a01 * b10, a00 * b01 + a01 * b11,
+            a10 * b00 + a11 * b10, a10 * b01 + a11 * b11,
+            a00 * b0 + a01 * b1 + a0, a10 * b0 + a11 * b1 + a1]
+
+
+def _affine_exp(generator):
+    """exp of each 3x3 generator [[W, w], [0, 0]], as the map (e^W, phi(W) w).
+
+    e^W = sum W^k/k! and phi(W) = sum W^(k-1)/k! are Taylor sums of degree
+    12 in W scaled by 2^-s to norm <= 1/2, and the map is squared s times.
+    By Cayley-Hamilton every polynomial in the 2x2 W is a I + b W, so the
+    Horner steps run on the two coefficients: I + W (a I + b W)/k is
+    (1 - b det W/k) I + (a + b tr W)/k W.
+    """
+    w00, w01, w10, w11, v0, v1 = generator
+    norm = float(np.max(np.maximum(np.abs(w00) + np.abs(w01),
+                                   np.abs(w10) + np.abs(w11)), initial=0.0))
+    if not math.isfinite(norm):
+        raise InvariantViolation("amplitude-integration",
+                                 "non-finite control or drive")
+    squarings = max(0, math.ceil(math.log2(norm / _TAYLOR_RADIUS))) \
+        if norm > 0.0 else 0
+    w00, w01, w10, w11, v0, v1 = (g / 2.0**squarings for g in generator)
+    trace = w00 + w11
+    det = w00 * w11 - w01 * w10
+    # e^W = a I + b W and phi(W) = c I + d W
+    a, b = 1.0, 0.0
+    c, d = 0.0, 0.0
+    for k in range(_TAYLOR_DEGREE, 0, -1):
+        a, b = 1.0 - b * det / k, (a + b * trace) / k
+        c, d = (1.0 - d * det) / k, (c + d * trace) / k
+    result = [a + b * w00, b * w01, b * w10, a + b * w11,
+              c * v0 + d * (w00 * v0 + w01 * v1),
+              c * v1 + d * (w10 * v0 + w11 * v1)]
+    for _ in range(squarings):
+        result = _compose(result, result)
+    return result
+
+
+def _running_maps(steps):
+    """Inclusive scan: entry i becomes step i after ... after step 0.
+
+    Recursive doubling: composing neighbouring steps pairwise halves the
+    sequence, its scan gives every odd entry, and one more composition with
+    the step after fills in the even ones. That is about two compositions
+    per entry; shift-and-compose over the whole sequence at every doubling
+    took four times as long at 16000 steps.
+    """
+    n = len(steps[0])
+    if n == 1:
+        return steps
+    odd = _running_maps(_compose([s[1::2] for s in steps],
+                                 [s[:n - 1:2] for s in steps]))
+    even = _compose([s[2::2] for s in steps], [o[:(n - 1) // 2] for o in odd])
+    running = []
+    for step, o, e in zip(steps, odd, even):
+        entry = np.empty_like(step)
+        entry[0] = step[0]
+        entry[1::2] = o
+        entry[2::2] = e
+        running.append(entry)
+    return running
+
+
+def _evolve(params: ThreeLevelParams, control: TimeSeries,
+            drive: np.ndarray, c_s0: float):
+    """Amplitudes and running integrals (c_e, c_s, lost, out) at the samples.
+
+    Integrates from c_e = 0, c_s = c_s0
 
         dc_e/dt = (i delta - Gamma/2) c_e + i Omega c_s + sqrt(gamma_pl) E
         dc_s/dt = i conj(Omega) c_e
-        dlost/dt = (gamma'_g + gamma_es) |c_e|^2
-        dout/dt = |E - sqrt(gamma_pl) c_e|^2
 
-    where Omega and the drive E are cubic splines through the samples.
+    as the affine system on [c_e, c_s, 1], one 4th-order Magnus step per
+    sample interval (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)):
+    Omega and the drive E are taken at the interval's two Gauss nodes from a
+    cubic spline through the samples, and the step is
+    exp(h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1]). Recursive doubling turns
+    the steps into the map from the start to every sample. lost and out are
+    (gamma'_g + gamma_es) int |c_e|^2 and int |E - sqrt(gamma_pl) c_e|^2 by
+    the cumulative rule on the samples.
     """
-    t = control.grid
-    fields = CubicSpline(t, np.stack([control.values, drive], axis=1))
+    h = control.dt
     decay = 1j * params.delta - params.gamma_total / 2.0
     root_pl = math.sqrt(params.gamma_pl)
-    gamma_other = params.gamma_prime_g + params.gamma_es
-
-    def rhs(time, y):
-        c_e, c_s, _, _ = y
-        om, field = fields(time)
-        return [
-            decay * c_e + 1j * om * c_s + root_pl * field,
-            1j * np.conj(om) * c_e,
-            gamma_other * abs(c_e) ** 2,
-            abs(field - root_pl * c_e) ** 2,
-        ]
-
-    sol = solve_ivp(
-        rhs, (t[0], t[-1]), np.array([0.0, c_s0, 0.0, 0.0], dtype=complex),
-        method="DOP853", rtol=_ODE_RTOL, atol=_ODE_ATOL, t_eval=t,
-        max_step=(t[-1] - t[0]) / 50.0,
-    )
-    # the solver's fun closes over the solver, a cycle that reaches rhs:
-    # emptying this cell frees the spline now, not at the next cyclic GC
-    del fields
-    if not sol.success:
-        raise InvariantViolation("amplitude-integration", sol.message)
-    return sol.y
+    om1, om2 = _at_gauss_nodes(control.values)
+    e1, e2 = _at_gauss_nodes(root_pl * drive)
+    # off-diagonal entries i Omega, i conj(Omega) of A at the two nodes
+    a1, a2 = 1j * om1, 1j * om2
+    b1, b2 = 1j * np.conj(om1), 1j * np.conj(om2)
+    # [A2, A1] has the diagonal (x, -x), x = a2 b1 - a1 b2
+    weight = math.sqrt(3.0) / 12.0 * h * h
+    commutator = a2 * b1 - a1 * b2
+    maps = _running_maps(_affine_exp((
+        h * decay + weight * commutator,
+        0.5 * h * (a1 + a2) + weight * decay * (a1 - a2),
+        0.5 * h * (b1 + b2) + weight * decay * (b2 - b1),
+        -weight * commutator,
+        0.5 * h * (e1 + e2) + weight * decay * (e1 - e2),
+        weight * (b2 * e1 - b1 * e2),
+    )))
+    c_e = np.concatenate([[0.0], maps[1] * c_s0 + maps[4]])
+    c_s = np.concatenate([[c_s0], maps[3] * c_s0 + maps[5]])
+    if not (np.all(np.isfinite(c_e)) and np.all(np.isfinite(c_s))):
+        raise InvariantViolation("amplitude-integration",
+                                 "non-finite amplitudes")
+    lost = (params.gamma_prime_g + params.gamma_es) * _cumulative(
+        np.abs(c_e) ** 2, h)
+    out = _cumulative(np.abs(drive - root_pl * c_e) ** 2, h)
+    return c_e, c_s, lost, out
 
 
 def gaussian_target(duration: float, n_samples: int = 4001) -> PulseShape:
@@ -245,10 +408,10 @@ def generate_photon(
             stacklevel=2)
     v = math.sqrt(params.gamma_pl) * c_e
     pulse = PulseShape(TimeSeries(control.t0, control.dt, v), FLUX_NORM)
-    return pulse, float(np.real(out[-1]))
+    return pulse, float(out[-1])
 
 
-def _departed_population(c_e: np.ndarray, t: np.ndarray,
+def _departed_population(c_e: np.ndarray, dt: float,
                          gamma: float) -> np.ndarray:
     """Population that has left |s> by each sample: |c_e|^2 + Gamma int |c_e|^2.
 
@@ -256,7 +419,7 @@ def _departed_population(c_e: np.ndarray, t: np.ndarray,
     other decay channels together drain Gamma |c_e|^2.
     """
     intensity = np.abs(c_e) ** 2
-    return intensity + gamma * CubicSpline(t, intensity).antiderivative()(t)
+    return intensity + gamma * _cumulative(intensity, dt)
 
 
 def control_for_target_pulse(
@@ -267,11 +430,12 @@ def control_for_target_pulse(
     Inverts the generation equations in closed form (Gorshkov et al., PRL
     98, 123601 (2007)). The target fixes c_e = v/sqrt(gamma_pl), and the c_e
     equation fixes N = i Omega c_s = dc_e/dt + (Gamma/2 - i delta) c_e, with
-    dc_e/dt from a cubic spline through c_e. Norm bookkeeping gives
-    |c_s|^2 = 1 - |c_e|^2 - Gamma int |c_e|^2, and the c_s equation gives its
-    phase phi = -int Im(conj(N) c_e)/|c_s|^2, both integrals being
-    antiderivatives of cubic splines on the samples. Then
-    Omega = N/(i |c_s| e^{i phi}).
+    dc_e/dt a 4th-order finite difference of the samples. Norm bookkeeping
+    gives |c_s|^2 = 1 - |c_e|^2 - Gamma int |c_e|^2, and the c_s equation
+    gives its phase phi = -int Im(conj(N) c_e)/|c_s|^2, both integrals being
+    running sums of a 4th-order cumulative rule on the samples. Then
+    Omega = N/(i |c_s| e^{i phi}). A target of fewer than 5 samples is
+    rejected.
 
     Division is guarded at |c_s| <= 1e-6: from the first sample where the
     guard holds the control is zero, and if more than 1e-5 of the target is
@@ -293,7 +457,7 @@ def control_for_target_pulse(
             f"target norm {norm:.6g} exceeds the efficiency bound "
             f"gamma_pl/Gamma = {bound:.6g}")
     c_e = v / math.sqrt(params.gamma_pl)
-    cs2 = 1.0 - _departed_population(c_e, t, gamma)
+    cs2 = 1.0 - _departed_population(c_e, dt, gamma)
     guarded = np.flatnonzero(cs2 <= _CS_GUARD**2)
     stop = int(guarded[0]) if guarded.size else len(t)
     remaining = float(np.sum(np.abs(v[stop:]) ** 2) * dt)
@@ -302,7 +466,7 @@ def control_for_target_pulse(
             f"target requires more than the gamma_pl/Gamma efficiency "
             f"bound: |c_s| hit the guard at t = {t[stop]:.4g} with "
             f"{remaining:.3g} of the pulse unemitted")
-    numerator = (CubicSpline(t, c_e).derivative()(t)
+    numerator = (_derivative(c_e, dt)
                  + (gamma / 2.0 - 1j * params.delta) * c_e)[:stop]
     cs2 = cs2[:stop]
     phase_rate = -np.imag(np.conj(numerator) * c_e[:stop]) / cs2
@@ -315,7 +479,7 @@ def control_for_target_pulse(
             f"control phase undersampled: it advances {dt * max_rate:.3g} "
             f"rad per sample (limit {_MAX_PHASE_STEP:g}); sample the target "
             f"at least {needed} times over the same span")
-    phase = CubicSpline(t[:stop], phase_rate).antiderivative()(t[:stop])
+    phase = _cumulative(phase_rate, dt)
     omega = np.zeros(len(t), dtype=complex)
     omega[:stop] = numerator / (1j * np.sqrt(cs2) * np.exp(1j * phase))
     return PulseShape(TimeSeries(float(t[0]), float(dt), omega), FLUX_NORM)
@@ -346,8 +510,8 @@ def store_photon(
         0.0)
     budget = input_pulse.squared_norm
     efficiency = float(abs(c_s[-1]) ** 2)
-    loss = float(np.real(lost[-1]))
-    leakage = (float(np.real(out[-1])) + float(abs(c_e[-1]) ** 2)
+    loss = float(lost[-1])
+    leakage = (float(out[-1]) + float(abs(c_e[-1]) ** 2)
                + (1.0 - even_fraction) * budget)
     if abs(efficiency + leakage + loss - budget) > _BOOKKEEPING_TOL:
         raise InvariantViolation(
@@ -371,10 +535,9 @@ def matched_storage(
     along the target is the feasibility margin, 1e-4.
     """
     shape = gaussian_target(duration, n_samples)
-    t = shape.samples.grid
     dt = shape.samples.dt
     v0 = shape.samples.values
-    headroom = _departed_population(v0 / math.sqrt(params.gamma_pl), t,
+    headroom = _departed_population(v0 / math.sqrt(params.gamma_pl), dt,
                                     params.gamma_total)
     alpha2 = (1.0 - _FEASIBILITY_MARGIN) / float(np.max(headroom))
     target = PulseShape(

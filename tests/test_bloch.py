@@ -134,6 +134,14 @@ class TestPropagator:
         composed = fam.matrix(1.0) @ fam.matrix(2.0)
         assert np.max(np.abs(combined - composed)) < 1e-9
 
+    @pytest.mark.parametrize("purcell", [0.5, 20.0, 200.0])
+    def test_exceptional_point_matches_expm(self, purcell):
+        fam = PropagatorFamily(params_from_purcell(purcell, omega_c=0.125))
+        assert not fam.diagonalizable
+        for t in np.linspace(0.0, 20.0, 81):
+            direct = scipy.linalg.expm(fam.generator * t)
+            assert np.max(np.abs(fam.matrix(t) - direct)) <= 1e-12, t
+
 
 class TestFieldObservables:
     def test_flux_balance_random_params(self):

@@ -197,25 +197,25 @@ class TestTransistor:
 
 
 class TestImports:
-    def test_only_storage_loads_scipy(self, tmp_path):
-        """scipy is loaded by `storage` and by bloch's exceptional-point
-        fallback; no other subcommand at its defaults needs it."""
+    def test_no_subcommand_loads_scipy(self, tmp_path):
+        """Every subcommand runs on numpy alone, storage and bloch's
+        exceptional-point fallback (reflected g2 at omega = 1/8) included."""
         script = f"""
 import sys
 from plasmonqed.cli import main
 loaded = ["scipy" in sys.modules]
 for argv in (["scatter"], ["saturation"], ["g2"], ["jump"],
-             ["oracle", "--set", "n_modes=250"]):
+             ["oracle", "--set", "n_modes=250"], ["storage"],
+             ["transistor", "--set", "gate=1"],
+             ["g2", "--set", "branch=reflected", "--set", "omega=0.125"]):
     assert main(argv + ["--out", {str(tmp_path / "out.dat")!r}]) == 0, argv
     loaded.append("scipy" in sys.modules)
-import plasmonqed.storage
-loaded.append("scipy" in sys.modules)
 print(*loaded)
 """
         proc = subprocess.run([sys.executable, "-c", script],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["False"] * 6 + ["True"]
+        assert proc.stdout.split() == ["False"] * 9
 
 
 class TestPlumbing:
@@ -303,6 +303,20 @@ class TestPlumbing:
             assert main([command, "--set", f"{key}={value}"]) == 2
             assert capsys.readouterr().err == (
                 f"config error: {key}: at most {cap} allowed, got {value}\n")
+
+    @pytest.mark.parametrize("command, key, cap, values", [
+        ("scatter", "delta", 100_000, lambda n: f"0:1:{n}"),
+        ("saturation", "omega", 10_000, lambda n: f"0.1:1:{n}"),
+        ("jump", "omega", 10_000, lambda n: ",".join(["0.1"] * n)),
+        ("g2", "purcell", 10, lambda n: ",".join(["2"] * n)),
+        ("oracle", "n_modes", 10,
+         lambda n: ",".join(str(250 + i) for i in range(n))),
+    ])
+    def test_value_count_caps_exit_2(self, command, key, cap, values, capsys):
+        assert main([command, "--set", f"{key}={values(cap + 1)}"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: {key}: at most {cap} values allowed, "
+            f"got {cap + 1}\n")
 
     def test_zero_workers_exits_2(self):
         for args in (("g2", "--set", "purcell=1,2", "--set", "n_times=5"),

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from plasmonqed.core import FLUX_NORM, PulseShape, TimeSeries
@@ -30,6 +31,64 @@ def matched_pair(duration, n_samples=2001):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         return matched_storage(PARAMS, duration=duration, n_samples=n_samples)
+
+
+def three_level(purcell, pumping_share, delta):
+    """Rates at Purcell factor P, a share of the non-guided rate going to |s>."""
+    other = 1.0 / (1.0 + purcell)
+    return ThreeLevelParams(purcell / (1.0 + purcell),
+                            other * (1.0 - pumping_share),
+                            other * pumping_share, delta)
+
+
+def l2_distance(a, b, dt):
+    return math.sqrt(float(np.sum(np.abs(a - b) ** 2)) * dt)
+
+
+def reference_evolve(params, control, drive, c_s0):
+    """[c_e, c_s, lost, out] by DOP853 over cubic splines of control and drive."""
+    t = control.grid
+    fields = CubicSpline(t, np.stack([control.values, drive], axis=1))
+    decay = 1j * params.delta - params.gamma_total / 2.0
+    root_pl = math.sqrt(params.gamma_pl)
+    gamma_other = params.gamma_prime_g + params.gamma_es
+
+    def rhs(time, y):
+        c_e, c_s, _, _ = y
+        om, field = fields(time)
+        return [
+            decay * c_e + 1j * om * c_s + root_pl * field,
+            1j * np.conj(om) * c_e,
+            gamma_other * abs(c_e) ** 2,
+            abs(field - root_pl * c_e) ** 2,
+        ]
+
+    sol = solve_ivp(
+        rhs, (t[0], t[-1]), np.array([0.0, c_s0, 0.0, 0.0], dtype=complex),
+        method="DOP853", rtol=1e-10, atol=1e-12, t_eval=t,
+        max_step=(t[-1] - t[0]) / 50.0)
+    assert sol.success, sol.message
+    return sol.y
+
+
+def reference_control(params, target):
+    """Closed-form inversion with cubic-spline derivative and integrals."""
+    t = target.samples.grid
+    gamma = params.gamma_total
+    c_e = target.samples.values / math.sqrt(params.gamma_pl)
+    intensity = np.abs(c_e) ** 2
+    cs2 = 1.0 - intensity - gamma * CubicSpline(
+        t, intensity).antiderivative()(t)
+    guarded = np.flatnonzero(cs2 <= 1e-12)
+    stop = int(guarded[0]) if guarded.size else len(t)
+    numerator = (CubicSpline(t, c_e).derivative()(t)
+                 + (gamma / 2.0 - 1j * params.delta) * c_e)[:stop]
+    cs2 = cs2[:stop]
+    phase_rate = -np.imag(np.conj(numerator) * c_e[:stop]) / cs2
+    phase = CubicSpline(t[:stop], phase_rate).antiderivative()(t[:stop])
+    omega = np.zeros(len(t), dtype=complex)
+    omega[:stop] = numerator / (1j * np.sqrt(cs2) * np.exp(1j * phase))
+    return omega
 
 
 class TestThreeLevelParams:
@@ -312,10 +371,85 @@ class TestControlInversion:
                        * matched.target.samples.dt)
         assert l2 < 1e-3
 
+    def test_rejects_grid_too_short_for_stencils(self):
+        target = PulseShape(TimeSeries(0.0, 0.1, np.full(4, 0.1 + 0j)),
+                            FLUX_NORM)
+        with pytest.raises(ValueError, match="too few"):
+            control_for_target_pulse(PARAMS, target)
+        short = PulseShape(TimeSeries(0.0, 0.1, np.full(3, 0.1 + 0j)),
+                           FLUX_NORM)
+        with pytest.raises(ValueError, match="too few"):
+            store_photon(PARAMS, short, short)
+        with pytest.raises(ValueError, match="too few"):
+            generate_photon(PARAMS.with_control(short), short.samples.grid)
+
     def test_rejects_decoupled_emitter(self):
         p = ThreeLevelParams(0.0, 0.5, 0.5)
         with pytest.raises(ValueError, match="gamma_pl"):
             control_for_target_pulse(p, gaussian_target(10.0, 501))
+
+
+class TestAgreesWithScipyReference:
+    """Magnus propagation and finite-difference inversion against DOP853 and
+    cubic-spline quadrature on the same samples."""
+
+    @pytest.mark.parametrize("n_samples", [1501, 16001])
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    @pytest.mark.parametrize("rates", [(20.0, 1.0), (20.0, 0.3), (5.0, 0.5)])
+    def test_matched_storage_at_duration_50(self, rates, delta, n_samples):
+        params = three_level(*rates, delta)
+        matched = matched_storage(params, duration=50.0, n_samples=n_samples)
+        control = matched.generate_control.samples
+        expected = reference_control(params, matched.target)
+        assert (np.max(np.abs(control.values - expected))
+                <= 1e-6 * np.max(np.abs(expected)))
+
+        drive = matched.input.samples.values
+        budget = matched.input.squared_norm
+        for splitting in (0.5, 0.3):
+            outcome = store_photon(params, matched.input,
+                                   matched.store_control, splitting)
+            even = 0.5 + math.sqrt(splitting * (1.0 - splitting))
+            c_e, c_s, lost, out = reference_evolve(
+                params, matched.store_control.samples,
+                math.sqrt(even) * drive, 0.0)
+            assert np.max(np.abs(outcome.amplitudes[0].values - c_e)) <= 1e-7
+            assert np.max(np.abs(outcome.amplitudes[1].values - c_s)) <= 1e-7
+            assert outcome.efficiency == pytest.approx(abs(c_s[-1]) ** 2,
+                                                       abs=1e-7)
+            assert outcome.loss == pytest.approx(lost[-1].real, abs=1e-7)
+            leakage = (out[-1].real + abs(c_e[-1]) ** 2
+                       + (1.0 - even) * budget)
+            assert outcome.leakage == pytest.approx(leakage, abs=1e-7)
+
+        pulse, efficiency = generate_photon(
+            params.with_control(matched.generate_control), control.grid)
+        c_e, _, _, out = reference_evolve(
+            params, control, np.zeros(len(control), dtype=complex), 1.0)
+        assert np.max(np.abs(pulse.samples.values
+                             - math.sqrt(params.gamma_pl) * c_e)) <= 1e-7
+        assert efficiency == pytest.approx(out[-1].real, abs=1e-7)
+
+    def test_short_detuned_round_trip(self):
+        """At duration 10 the control turns 1.86 rad per sample; the
+        regenerated pulse may miss its target by at most 1.2 times the
+        reference pipeline's miss."""
+        params = three_level(20.0, 1.0, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            matched = matched_storage(params, duration=10.0, n_samples=8001)
+            grid = matched.target.samples.grid
+            pulse, _ = generate_photon(
+                params.with_control(matched.generate_control), grid)
+        samples = matched.target.samples
+        reference = TimeSeries(0.0, samples.dt,
+                               reference_control(params, matched.target))
+        c_e = reference_evolve(params, reference,
+                               np.zeros(len(grid), dtype=complex), 1.0)[0]
+        missed = l2_distance(pulse.samples.values, samples.values, samples.dt)
+        reference_missed = l2_distance(math.sqrt(params.gamma_pl) * c_e,
+                                       samples.values, samples.dt)
+        assert missed <= 1.2 * reference_missed
 
 
 class TestConditionalMirror:
