@@ -18,7 +18,7 @@ resonance fluorescence at every drive (Kimble & Mandel, Phys. Rev. A 13,
 which the tests pin on both sides of omega_c = Gamma/8, where mu = 0.
 
 At weak drive the transmitted curve approaches the closed form
-exp(-t) (P^2 - exp(t/2))^2 (times in 1/Gamma), which vanishes at
+(P^2 exp(-t/2) - 1)^2 (times in 1/Gamma), which vanishes at
 t0 = 4 ln P for P >= 1 and reaches (P^2 - 1)^2 at t = 0. Weak drive for the
 transmitted branch means (1+P)^2 8 (omega_c/Gamma)^2 << 1, not merely
 omega_c << Gamma: that product is the transmitted-branch saturation parameter
@@ -156,9 +156,13 @@ def g2_value(params: EmitterParams, branch: str, t: float) -> float:
 
 
 def g2_weakfield_analytic(purcell: float, t) -> np.ndarray | float:
-    """Weak-drive transmitted-branch closed form, times in 1/Gamma."""
+    """Weak-drive transmitted-branch closed form, times in 1/Gamma.
+
+    Written as (P^2 e^{-t/2} - 1)^2, not as the equal e^{-t} (P^2 - e^{t/2})^2,
+    whose factors overflow beyond t of about 710.
+    """
     t = np.asarray(t, dtype=float)
-    value = np.exp(-t) * (purcell**2 - np.exp(t / 2.0)) ** 2
+    value = (purcell**2 * np.exp(-t / 2.0) - 1.0) ** 2
     return float(value) if value.ndim == 0 else value
 
 

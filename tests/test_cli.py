@@ -75,6 +75,15 @@ class TestSaturation:
             assert row[3] == pytest.approx(row[1], abs=1e-10)
             assert row[4] == pytest.approx(row[2], abs=1e-10)
 
+    @pytest.mark.parametrize("omega", ["1e-300", "1e-160"])
+    def test_drive_whose_square_underflows_exits_2(self, omega, capsys):
+        assert main(["saturation", "--set", f"omega={omega}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: omega: {float(omega)!r} is too weak, its square "
+            f"underflows double precision\n")
+
 
 class TestG2:
     def test_transmitted_includes_analytic_columns(self):
@@ -91,6 +100,14 @@ class TestG2:
         _, columns, rows = parse_dataset(proc.stdout)
         assert columns == ["t", "g2_P2"]
         assert rows[0][1] == 0.0
+
+    def test_long_delays_stay_finite(self, capsys):
+        assert main(["g2", "--set", "tmax=1000", "--set", "n_times=11"]) == 0
+        _, columns, rows = parse_dataset(capsys.readouterr().out.encode())
+        assert all(math.isfinite(v) for row in rows for v in row)
+        last = dict(zip(columns, rows[-1]))
+        assert [last[f"analytic_P{p}"] for p in ("0.6", "1", "1.5", "2")] \
+            == [1.0] * 4
 
     def test_infinite_purcell_needs_reflected_branch(self, capsys):
         assert main(["g2", "--set", "purcell=inf"]) == 2

@@ -50,6 +50,17 @@ class TestWeakFieldLimit:
         value = g2_value(weak_params(2.0, 1e-4), "transmitted", 0.0)
         assert value == pytest.approx(9.0, rel=1e-3)
 
+    def test_closed_form_is_stable_at_long_delays(self):
+        for purcell in (0.6, 2.0, 20.0):
+            late = g2_weakfield_analytic(purcell, np.array([1e3, 1e6]))
+            assert np.all(np.isfinite(late))
+            assert late == pytest.approx(1.0, abs=1e-15)
+            # e^{-t} (P^2 - e^{t/2})^2 is the same function until it overflows
+            times = np.linspace(0.0, 40.0, 401)
+            direct = np.exp(-times) * (purcell**2 - np.exp(times / 2.0)) ** 2
+            assert g2_weakfield_analytic(purcell, times) == pytest.approx(
+                direct, rel=1e-12, abs=1e-12)
+
     def test_large_purcell_growth(self):
         assert g2_weakfield_analytic(100.0, 0.0) / 100.0**4 == pytest.approx(
             1.0, abs=1e-3)

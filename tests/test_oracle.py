@@ -11,6 +11,8 @@ from plasmonqed.core import (
     params_from_purcell,
 )
 from plasmonqed.oracle import (
+    _MAX_SEGMENT_RT,
+    _NORM_CEILING,
     _bessel_j,
     _initial_amplitudes,
     _propagate,
@@ -70,7 +72,8 @@ class TestBuildGrid:
 
 
 class TestChebyshevPropagator:
-    @pytest.mark.parametrize("x", [0.5, 3.0, 80.0, 4800.0])
+    # the last case is the largest R tau a propagation segment can reach
+    @pytest.mark.parametrize("x", [0.5, 3.0, 80.0, _MAX_SEGMENT_RT])
     def test_bessel_matches_scipy(self, x):
         from scipy.special import jv
 
@@ -96,8 +99,39 @@ class TestChebyshevPropagator:
         y0 /= np.linalg.norm(y0)
         y, snapshots = _propagate(grid, y0, t, gamma_prime)
         assert np.max(np.abs(y - expm(-1j * t * h) @ y0)) < 1e-12
-        assert len(snapshots) == 1 + math.ceil(t)
+        # R t stays far below the segment cap: one segment, two snapshots
+        _, radius = _spectral_bound(grid, gamma_prime)
+        assert radius * t < _MAX_SEGMENT_RT
+        assert len(snapshots) == 2
         assert snapshots[-1].time == pytest.approx(t)
+        assert snapshots[-1].norm == pytest.approx(np.vdot(y, y).real,
+                                                   abs=1e-15)
+
+    def test_long_run_is_split_and_checked_at_every_segment_end(self):
+        """R t_final above the cap runs several segments, each end checked.
+
+        A negative non-guided rate is gain, so the norm grows at every
+        segment end; a start scaled to cross the ceiling between the second
+        and third ends must raise at the third.
+        """
+        grid = build_grid(P20, 250, k_span=200.0)
+        gain = -0.1
+        _, radius = _spectral_bound(grid, gain)
+        t = 3.5 * _MAX_SEGMENT_RT / radius
+        rng = np.random.default_rng(11)
+        y0 = rng.normal(size=1 + 2 * grid.n_modes) \
+            + 1j * rng.normal(size=1 + 2 * grid.n_modes)
+        y0 *= 0.5 / np.linalg.norm(y0)
+        _, snapshots = _propagate(grid, y0, t, gain)
+        assert [s.time for s in snapshots] == pytest.approx(
+            np.linspace(0.0, t, 5), abs=1e-12)
+        norms = np.array([s.norm for s in snapshots])
+        assert np.all(np.diff(norms) > 0.0)
+        scale = _NORM_CEILING / math.sqrt(norms[2] * norms[3])
+        with pytest.raises(InvariantViolation) as exc:
+            _propagate(grid, y0 * math.sqrt(scale), t, gain)
+        assert exc.value.invariant == "excitation-norm"
+        assert str(exc.value).endswith(f"at t = {snapshots[3].time}")
 
 
 class TestGoldenRule:
@@ -147,6 +181,16 @@ class TestScatterWavepacket:
         result = scatter_wavepacket(grid, gaussian_spectrum(0.1))
         norms = np.array([s.norm for s in result.trajectory])
         assert np.max(np.diff(norms)) <= 1e-12
+        # a run is one or two segments, so also sample the norm across it
+        y0 = np.zeros(1 + 2 * grid.n_modes, dtype=complex)
+        y0[1:1 + grid.n_modes] = _initial_amplitudes(
+            grid, gaussian_spectrum(0.1), 25.0)
+        norms = [np.vdot(y, y).real for y in (
+            _propagate(grid, y0, t, P20.gamma_prime)[0]
+            for t in np.arange(0.0, 61.0, 5.0))]
+        assert norms[0] == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.diff(norms)) <= 1e-12
+        assert norms[-1] == pytest.approx(1.0 - result.loss_sim, abs=1e-12)
 
     def test_trajectory_endpoints(self):
         grid = build_grid(P20, 250)
@@ -160,9 +204,9 @@ class TestScatterWavepacket:
         y0 = np.zeros(1 + 2 * grid.n_modes, dtype=complex)
         y0[1:1 + grid.n_modes] = _initial_amplitudes(
             grid, gaussian_spectrum(0.1), 25.0)
-        # t_final = 60 runs 60 segments of unit length
         _, radius = _spectral_bound(grid, P20.gamma_prime)
-        default = _term_count(radius * 1.0)
+        segments = max(1, math.ceil(radius * 60.0 / _MAX_SEGMENT_RT))
+        default = _term_count(radius * 60.0 / segments)
         observables = []
         for n_terms in (default, default + 50):
             y, _ = _propagate(grid, y0, 60.0, P20.gamma_prime, n_terms)
@@ -184,8 +228,15 @@ class TestScatterWavepacket:
                                     t_final=480.0, t_peak=225.0)
         assert abs(result.t_sim) < 1e-3
         assert result.r_sim + result.t_sim == pytest.approx(1.0, abs=1e-6)
-        norms = np.array([s.norm for s in result.trajectory])
-        assert np.max(np.abs(norms - 1.0)) < 1e-8
+        norms = [s.norm for s in result.trajectory]
+        # the run is two segments; also step through it every 40 time units
+        y = np.zeros(1 + 2 * grid.n_modes, dtype=complex)
+        y[1:1 + grid.n_modes] = _initial_amplitudes(
+            grid, gaussian_spectrum(0.01), 225.0)
+        for _ in range(12):
+            y, _ = _propagate(grid, y, 40.0, 0.0)
+            norms.append(np.vdot(y, y).real)
+        assert np.max(np.abs(np.array(norms) - 1.0)) < 1e-8
 
     def test_uncleared_pulse_is_an_error(self):
         grid = build_grid(P20, 250)
