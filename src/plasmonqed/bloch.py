@@ -173,19 +173,30 @@ def propagate(params: EmitterParams, rho0: np.ndarray, t: float) -> np.ndarray:
 
 
 def steady_state(params: EmitterParams) -> np.ndarray:
-    """Unique stationary state of the generator, normalized to trace 1."""
-    if params.gamma_total <= 0.0:
+    """Stationary state in closed form (Cohen-Tannoudji, Dupont-Roc &
+    Grynberg, Atom-Photon Interactions, 1992).
+
+    With s = omega_c/|Gamma/2 - i delta|,
+
+        rho_ee = s^2/(1 + 2 s^2),
+        rho_eg = i omega_c/((1 + 2 s^2)(Gamma/2 - i delta)) = conj(rho_ge).
+
+    omega_c and |Gamma/2 - i delta| are divided by the larger of the two
+    first, so nothing overflows, and rho_ee underflows only with omega_c^2.
+    """
+    gamma = params.gamma_total
+    if gamma <= 0.0:
         raise ValueError("gamma_total must be positive for a steady state")
-    lv = liouvillian(params)
-    w, v = np.linalg.eig(lv)
-    order = np.argsort(np.abs(w))
-    if len(w) > 1 and abs(w[order[1]]) < 1e-10:
-        raise InvariantViolation(
-            "steady-state-degeneracy",
-            f"second eigenvalue {w[order[1]]!r} too close to zero")
-    rho = v[:, order[0]].reshape(2, 2)
-    rho = rho / np.trace(rho)
-    return 0.5 * (rho + rho.conj().T)
+    width = math.hypot(0.5 * gamma, params.delta)
+    scale = max(params.omega_c, width)
+    x, y = params.omega_c / scale, width / scale
+    denominator = y * y + 2.0 * x * x
+    rho_ee = x * x / denominator
+    # s/(1 + 2 s^2) times the unit phase (Gamma/2 + i delta)/width
+    phase = complex(0.5 * gamma, params.delta) / width
+    rho_eg = 1j * x * y / denominator * phase
+    return np.array([[1.0 - rho_ee, rho_eg.conjugate()],
+                     [rho_eg, rho_ee]], dtype=complex)
 
 
 def field_operator(params: EmitterParams, branch: str) -> np.ndarray:

@@ -199,6 +199,8 @@ def _format(value) -> str:
 
 def _write_dataset(out_path, command, config, seed, columns, rows,
                    summary=()):
+    """Write the table, or nothing if any row has the wrong width or a
+    non-finite value (exit 3, naming the column and the row)."""
     lines = [f"# plasmonqed {__version__}", f"# command = {command}",
              f"# seed = {seed}"]
     for key in sorted(config):
@@ -211,6 +213,12 @@ def _write_dataset(out_path, command, config, seed, columns, rows,
             raise InvariantViolation(
                 "dataset-column-count",
                 f"row width {len(row)} != {len(columns)}")
+        for name, value in zip(columns, row):
+            if not math.isfinite(value):
+                raise InvariantViolation(
+                    "dataset-non-finite",
+                    f"{name} = {_format(value)} at "
+                    f"{columns[0]} = {_format(row[0])}")
         lines.append(" ".join(_format(v) for v in row))
     text = "\n".join(lines) + "\n"
     if out_path is None:
@@ -235,7 +243,6 @@ def cmd_scatter(config, args):
 def cmd_saturation(config, args):
     purcell = _parse_float(config["purcell"], "purcell")
     omegas = _parse_floats(config["omega"], "omega")
-    columns = ["omega", "T_closed", "R_closed", "T_numeric", "R_numeric"]
     rows = []
     for omega in omegas:
         if omega <= 0:
@@ -247,14 +254,11 @@ def cmd_saturation(config, args):
         t_closed, r_closed = saturation_closed_form(purcell, omega)
         params = params_from_purcell(purcell, omega_c=omega)
         obs = field_observables(params, steady_state(params))
-        row = (omega, t_closed, r_closed, obs.transmittance, obs.reflectance)
-        bad = [name for name, v in zip(columns, row) if not math.isfinite(v)]
-        if bad:
-            raise InvariantViolation(
-                "saturation-non-finite",
-                f"{', '.join(bad)} at omega = {float(omega)!r}")
-        rows.append(row)
-    _write_dataset(args.out, "saturation", config, args.seed, columns, rows)
+        rows.append((omega, t_closed, r_closed, obs.transmittance,
+                     obs.reflectance))
+    _write_dataset(args.out, "saturation", config, args.seed,
+                   ["omega", "T_closed", "R_closed", "T_numeric", "R_numeric"],
+                   rows)
 
 
 def cmd_g2(config, args):
@@ -288,10 +292,16 @@ def cmd_g2(config, args):
 def cmd_jump(config, args):
     purcell = _parse_float(config["purcell"], "purcell")
     omegas = _parse_floats(config["omega"], "omega")
+    if not math.isfinite(purcell):
+        raise ConfigError("purcell: the weak-limit columns need finite P")
     rows = []
     for omega in omegas:
         if omega <= 0:
             raise ConfigError("omega: drive strengths must be positive")
+        # the jump state's coherence scales as omega^3
+        if omega * omega * omega < sys.float_info.min:
+            raise ConfigError(f"omega: {float(omega)!r} is too weak, its "
+                              f"cube underflows double precision")
         params = params_from_purcell(purcell, omega_c=omega)
         state = jump_state(params, branch="transmitted")
         rho_ss = steady_state(params)
@@ -353,8 +363,8 @@ def cmd_storage(config, args):
     n_samples = _parse_int(config["n_samples"], "n_samples")
     if duration <= 0 or n_samples < 16:
         raise ConfigError("need duration > 0 and n_samples >= 16")
-    if purcell <= 0:
-        raise ConfigError("purcell: must be positive")
+    if not 0 < purcell < math.inf:
+        raise ConfigError("purcell: must be positive and finite")
     params = _three_level_from(purcell, gamma_es)
     matched = matched_storage(params, duration=duration, n_samples=n_samples)
     result = store_photon(params, matched.input, matched.store_control)
@@ -381,8 +391,10 @@ def cmd_transistor(config, args):
     signals = _parse_int(config["signals"], "signals")
     trials = _parse_int(config["trials"], "trials")
     duration = _parse_float(config["duration"], "duration")
-    if purcell <= 0:
-        raise ConfigError("purcell: must be positive")
+    if not 0 < purcell < math.inf:
+        raise ConfigError("purcell: must be positive and finite")
+    if math.isinf(branching):
+        raise ConfigError("branching: must be finite")
     if branching < purcell:
         raise ConfigError(
             "branching: Gamma_eg/Gamma_es cannot be below purcell "
@@ -396,7 +408,8 @@ def cmd_transistor(config, args):
     gain = transistor_gain(params, trials, args.seed)
     run = run_transistor(params, gate, signals, seed=args.seed,
                          storage_duration=duration)
-    efficiency = (math.nan if run.storage_efficiency is None
+    # no gate photon was sent, so none was stored
+    efficiency = (0.0 if run.storage_efficiency is None
                   else run.storage_efficiency)
     rows = [(efficiency, mirror.reflectance, mirror.transmittance,
              gain.mean, gain.ci95, gain.analytic_mean,

@@ -57,7 +57,6 @@ class ModeGrid:
     params: EmitterParams
     n_modes: int
     k_span: float
-    box_length: float
     coupling: float
     deltas: np.ndarray
 
@@ -94,7 +93,6 @@ def build_grid(
     params: EmitterParams,
     n_modes: int,
     k_span: float | None = None,
-    box_length: float | None = None,
     center: float = 0.0,
 ) -> ModeGrid:
     """Construct a calibrated mode grid.
@@ -104,8 +102,7 @@ def build_grid(
     window (the emitter resonance delta = 0 must stay inside). The default
     span keeps the mode spacing fixed at 0.08, so larger grids enclose a
     wider band; the residual band-edge bias of grid observables falls off as
-    one over the span. The default ``box_length`` is the quantization length
-    matching the mode spacing.
+    one over the span.
     """
     if n_modes < 2:
         raise ValueError(f"n_modes must be >= 2, got {n_modes}")
@@ -121,12 +118,9 @@ def build_grid(
         raise ValueError(
             f"window [{lo}, {hi}] excludes the emitter resonance delta = 0")
     spacing = k_span / n_modes
-    if box_length is None:
-        box_length = 2.0 * math.pi / spacing
     deltas = center + (np.arange(n_modes) - (n_modes - 1) / 2.0) * spacing
     coupling = math.sqrt(params.gamma_pl * spacing / (4.0 * math.pi))
-    return ModeGrid(params, int(n_modes), float(k_span), float(box_length),
-                    coupling, deltas)
+    return ModeGrid(params, int(n_modes), float(k_span), coupling, deltas)
 
 
 def _initial_amplitudes(grid: ModeGrid, pulse: PulseShape, t_peak: float) -> np.ndarray:

@@ -21,7 +21,12 @@ from plasmonqed.bloch import (
     steady_state,
     validate_density_matrix,
 )
-from plasmonqed.core import InvariantViolation, make_params, params_from_purcell
+from plasmonqed.core import (
+    EmitterParams,
+    InvariantViolation,
+    make_params,
+    params_from_purcell,
+)
 from plasmonqed.scatter import scatter_point
 
 
@@ -53,6 +58,45 @@ class TestSteadyState:
         rho = steady_state(p)
         assert np.max(np.abs(lindblad_rhs(p, rho))) < 1e-10
 
+    @pytest.mark.parametrize("omega", [1e-100, 1e-12, 1e-3, 0.8, 1e3])
+    @pytest.mark.parametrize("delta", [0.0, 0.4, -3.0])
+    def test_rhs_vanishes_relative_to_each_element(self, omega, delta):
+        # each element vanishes to rounding of its largest term: Gamma
+        # rho_ee and omega |rho_eg| for the populations, which fall as
+        # omega^2 at weak drive, and |Gamma/2 - i delta| |rho_eg| and omega
+        # for the coherence, which fall as omega
+        p = params_from_purcell(20.0, omega_c=omega, delta=delta)
+        rho = steady_state(p)
+        rhs = lindblad_rhs(p, rho)
+        coherence = abs(rho[1, 0])
+        population_scale = rho[1, 1].real + omega * coherence
+        coherence_scale = math.hypot(0.5, delta) * coherence + omega
+        assert abs(rhs[1, 1]) <= 1e-14 * population_scale
+        assert abs(rhs[0, 0]) <= 1e-14 * population_scale
+        assert abs(rhs[1, 0]) <= 1e-14 * coherence_scale
+        assert rho[0, 1] == rho[1, 0].conjugate()
+
+    @pytest.mark.parametrize("purcell", [0.5, 20.0, math.inf])
+    @pytest.mark.parametrize("delta", [0.0, 0.7, -2.0])
+    def test_matches_null_space_of_liouvillian(self, purcell, delta):
+        for omega in np.geomspace(1e-3, 10.0, 17):
+            p = params_from_purcell(purcell, omega_c=omega, delta=delta)
+            null = scipy.linalg.null_space(liouvillian(p))
+            assert null.shape == (4, 1)
+            reference = null[:, 0].reshape(2, 2)
+            reference = reference / np.trace(reference)
+            assert np.max(np.abs(steady_state(p) - reference)) <= 1e-12, omega
+
+    def test_extreme_drive_stays_finite(self):
+        # omega_c^2 and (1 + 2 s^2)(Gamma/2 - i delta) would overflow here
+        rho = steady_state(params_from_purcell(20.0, omega_c=1e300,
+                                               delta=1e-3))
+        assert np.all(np.isfinite(rho))
+        assert rho[1, 1].real == 0.5
+        # s/(1 + 2 s^2) -> 1/(2 s) = |Gamma/2 - i delta|/(2 omega_c)
+        assert abs(rho[1, 0]) == pytest.approx(
+            math.hypot(0.5, 1e-3) / 2e300, rel=1e-12, abs=0.0)
+
     def test_weak_drive_coherence_sign(self):
         # resonant coherence must be +2i omega / gamma at weak drive
         p = params_from_purcell(20.0, omega_c=1e-4)
@@ -66,6 +110,10 @@ class TestSteadyState:
     def test_is_valid_density_matrix(self):
         rho = steady_state(params_from_purcell(5.0, omega_c=3.0, delta=1.0))
         validate_density_matrix(rho)
+
+    def test_rejects_zero_linewidth(self):
+        with pytest.raises(ValueError, match="gamma_total"):
+            steady_state(EmitterParams(0.0, 0.0, omega_c=1.0))
 
 
 class TestPropagator:

@@ -1,20 +1,33 @@
+import contextlib
+import io
 import math
 import subprocess
 import sys
 import warnings
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from plasmonqed.bloch import saturation_closed_form
-from plasmonqed.cli import main
-from plasmonqed.core import params_from_purcell
+from plasmonqed.cli import _DEFAULTS, _write_dataset, main
+from plasmonqed.core import InvariantViolation, params_from_purcell
 from plasmonqed.scatter import scatter_point
 
 
 def run_cli(*args, check=False):
-    proc = subprocess.run(
-        [sys.executable, "-m", "plasmonqed.cli", *args],
-        capture_output=True)
+    """Run ``main(args)`` in this process with captured streams.
+
+    Returns a CompletedProcess with the exit code and the bytes written to
+    stdout and stderr; ``--version`` exits through SystemExit.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    proc = subprocess.CompletedProcess(
+        args, code, out.getvalue().encode(), err.getvalue().encode())
     if check and proc.returncode != 0:
         raise AssertionError(
             f"exit {proc.returncode}: {proc.stderr.decode(errors='replace')}")
@@ -74,6 +87,16 @@ class TestSaturation:
         for row in rows:
             assert row[3] == pytest.approx(row[1], abs=1e-10)
             assert row[4] == pytest.approx(row[2], abs=1e-10)
+
+    def test_weak_drive_matches_closed_form(self):
+        proc = run_cli("saturation", "--set", "omega=1e-12,1e-16,1e-100",
+                       check=True)
+        _, columns, rows = parse_dataset(proc.stdout)
+        assert [row[0] for row in rows] == [1e-12, 1e-16, 1e-100]
+        for row in rows:
+            named = dict(zip(columns, row))
+            assert abs(named["T_numeric"] - named["T_closed"]) <= 1e-15, row
+            assert abs(named["R_numeric"] - named["R_closed"]) <= 1e-15, row
 
     @pytest.mark.parametrize("omega", ["1e-300", "1e-160"])
     def test_drive_whose_square_underflows_exits_2(self, omega, capsys):
@@ -136,6 +159,30 @@ class TestJump:
         assert coh == pytest.approx(21.0, rel=1e-2)
         assert amp == pytest.approx(-399.0, rel=1e-2)
 
+    def test_weak_drive_reaches_limits(self):
+        proc = run_cli("jump", "--set", "omega=1e-12,1e-50", check=True)
+        _, _, rows = parse_dataset(proc.stdout)
+        assert len(rows) == 2
+        for _, coh, amp, _, _ in rows:
+            assert coh == pytest.approx(21.0, rel=1e-12)
+            assert amp == pytest.approx(-399.0, rel=1e-12)
+
+    def test_infinite_purcell_exits_2(self, capsys):
+        assert main(["jump", "--set", "purcell=inf"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: purcell: the weak-limit columns need finite P\n")
+
+    @pytest.mark.parametrize("omega", ["1e-104", "1e-110", "1e-300"])
+    def test_drive_whose_cube_underflows_exits_2(self, omega, capsys):
+        assert main(["jump", "--set", f"omega={omega}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: omega: {float(omega)!r} is too weak, its cube "
+            f"underflows double precision\n")
+
 
 class TestOracle:
     def test_single_grid_run(self):
@@ -186,6 +233,12 @@ class TestStorage:
         assert len(rows) == 801
         assert 0.93 < float(header["efficiency"]) < 0.95
 
+    def test_infinite_purcell_exits_2(self):
+        proc = run_cli("storage", "--set", "purcell=inf")
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            b"config error: purcell: must be positive and finite\n")
+
 
 class TestTransistor:
     def test_open_gate(self):
@@ -193,7 +246,8 @@ class TestTransistor:
                        "--set", "trials=2000", check=True)
         _, columns, rows = parse_dataset(proc.stdout)
         row = dict(zip(columns, rows[0]))
-        assert math.isnan(row["storage_efficiency"])
+        # no gate photon was sent, so none was stored
+        assert row["storage_efficiency"] == 0.0
         assert row["gate_stored"] == 0.0
         assert row["gain_analytic"] == 20.0
         assert row["gain_mean"] == pytest.approx(20.0, rel=0.1)
@@ -211,6 +265,16 @@ class TestTransistor:
         proc = run_cli("transistor", "--set", "branching=10")
         assert proc.returncode == 2
         assert b"config error" in proc.stderr
+
+    @pytest.mark.parametrize("item, message", [
+        ("branching=inf", b"branching: must be finite"),
+        ("purcell=inf", b"purcell: must be positive and finite"),
+    ])
+    def test_infinite_rate_exits_2(self, item, message):
+        proc = run_cli("transistor", "--set", item)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr == b"config error: " + message + b"\n"
 
 
 class TestImports:
@@ -335,6 +399,15 @@ class TestPlumbing:
             f"config error: {key}: at most {cap} values allowed, "
             f"got {cap + 1}\n")
 
+    def test_non_finite_row_writes_nothing(self, tmp_path):
+        out = tmp_path / "table.dat"
+        rows = [(0.5, 1.0, 2.0), (0.75, 1.0, math.inf)]
+        with pytest.raises(InvariantViolation) as exc:
+            _write_dataset(str(out), "test", {}, 0, ["x", "a", "b"], rows)
+        assert exc.value.invariant == "dataset-non-finite"
+        assert str(exc.value) == "dataset-non-finite: b = inf at x = 0.75"
+        assert not out.exists()
+
     def test_zero_workers_exits_2(self):
         for args in (("g2", "--set", "purcell=1,2", "--set", "n_times=5"),
                      ("scatter",)):
@@ -346,3 +419,53 @@ class TestPlumbing:
         proc = run_cli("--version")
         assert proc.returncode == 0
         assert proc.stdout.decode().startswith("plasmonqed ")
+
+
+# Every key of every subcommand, set to one edge value at a time, at small
+# sizes: a 250-mode oracle grid, 21 g2 delays and 1000 transistor trials.
+_EDGE_VALUES = ["0", "-1", "1e-300", "1e-12", "0.5", "7", "1e6", "1e300",
+                "-1e300", "inf", "-inf", "2.5e15"]
+_SMALL = {"oracle": ["--set", "n_modes=250"], "g2": ["--set", "n_times=21"],
+          "transistor": ["--set", "trials=1000"]}
+_KEYS = [(command, key) for command in _DEFAULTS for key in _DEFAULTS[command]]
+
+
+class TestContract:
+    """Every config runs, or exits 2 or 3 with a message, and never writes
+    a non-finite row or different bytes on a second call."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(st.sampled_from(_KEYS), st.sampled_from(_EDGE_VALUES))
+    @example(("saturation", "omega"), "1e-300")
+    @example(("g2", "tmax"), "1000")
+    @example(("jump", "purcell"), "inf")
+    @example(("transistor", "branching"), "inf")
+    @example(("transistor", "gate"), "0")
+    @example(("saturation", "omega"), "1e-12")
+    @example(("saturation", "omega"), "1e-16")
+    @example(("saturation", "omega"), "1e-100")
+    @example(("jump", "omega"), "1e-12")
+    @example(("jump", "omega"), "1e-50")
+    @example(("jump", "omega"), "1e-110")
+    def test_one_key_at_an_edge(self, command_key, value):
+        command, key = command_key
+        argv = [command, *_SMALL.get(command, []), "--set", f"{key}={value}"]
+        proc = run_cli(*argv)
+        assert proc.returncode in (0, 2, 3), (argv, proc.returncode)
+        if proc.returncode == 0:
+            _, columns, rows = parse_dataset(proc.stdout)
+            assert rows
+            assert all(math.isfinite(v) for row in rows for v in row), argv
+            if command == "saturation":
+                for row in rows:
+                    named = dict(zip(columns, row))
+                    assert abs(named["T_numeric"] - named["T_closed"]) <= 1e-8
+        else:
+            assert proc.stdout == b""
+            assert proc.stderr.count(b"\n") == 1 and proc.stderr.startswith(
+                (b"config error: ", b"invariant violated: ",
+                 b"numerical overflow: ")), proc.stderr
+        again = run_cli(*argv)
+        assert (again.returncode, again.stdout, again.stderr) == (
+            proc.returncode, proc.stdout, proc.stderr)

@@ -56,7 +56,6 @@ class TestBuildGrid:
         grid = build_grid(P20, 250)
         expected = math.sqrt(P20.gamma_pl * grid.mode_spacing / (4.0 * math.pi))
         assert grid.coupling == pytest.approx(expected)
-        assert grid.box_length == pytest.approx(2.0 * math.pi / grid.mode_spacing)
 
     def test_rejects_single_mode(self):
         with pytest.raises(ValueError):
