@@ -247,10 +247,15 @@ def cmd_saturation(config, args):
     for omega in omegas:
         if omega <= 0:
             raise ConfigError("omega: drive strengths must be positive")
-        # the observables divide by the drive flux omega^2
-        if omega * omega < sys.float_info.min:
+        # the observables divide by the drive flux omega^2, and the closed
+        # form squares the drive
+        square = float(omega) * float(omega)
+        if square < sys.float_info.min:
             raise ConfigError(f"omega: {float(omega)!r} is too weak, its "
                               f"square underflows double precision")
+        if square > sys.float_info.max:
+            raise ConfigError(f"omega: {float(omega)!r} is too strong, its "
+                              f"square overflows double precision")
         t_closed, r_closed = saturation_closed_form(purcell, omega)
         params = params_from_purcell(purcell, omega_c=omega)
         obs = field_observables(params, steady_state(params))

@@ -107,6 +107,15 @@ class TestSaturation:
             f"config error: omega: {float(omega)!r} is too weak, its square "
             f"underflows double precision\n")
 
+    @pytest.mark.parametrize("omega", ["1e160", "1e300"])
+    def test_drive_whose_square_overflows_exits_2(self, omega, capsys):
+        assert main(["saturation", "--set", f"omega={omega}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: omega: {float(omega)!r} is too strong, its "
+            f"square overflows double precision\n")
+
 
 class TestG2:
     def test_transmitted_includes_analytic_columns(self):
@@ -361,7 +370,6 @@ class TestPlumbing:
          "--set", "n_times=5"],
         ["jump", "--set", "omega=1e160"],
         ["saturation", "--set", "omega=1e154"],
-        ["saturation", "--set", "omega=1e160"],
     ])
     def test_extreme_drive_exits_3(self, argv, capsys):
         with warnings.catch_warnings():
@@ -438,6 +446,7 @@ class TestContract:
               database=None)
     @given(st.sampled_from(_KEYS), st.sampled_from(_EDGE_VALUES))
     @example(("saturation", "omega"), "1e-300")
+    @example(("saturation", "omega"), "1e160")
     @example(("g2", "tmax"), "1000")
     @example(("jump", "purcell"), "inf")
     @example(("transistor", "branching"), "inf")

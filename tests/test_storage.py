@@ -5,12 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
 from plasmonqed.core import FLUX_NORM, PulseShape, TimeSeries
 from plasmonqed.scatter import scatter_point
 from plasmonqed.storage import (
+    _TAYLOR_RADIUS,
     GainEstimate,
     ThreeLevelParams,
     conditional_mirror,
@@ -21,6 +23,9 @@ from plasmonqed.storage import (
     run_transistor,
     store_photon,
     transistor_gain,
+    _affine_exp,
+    _scan_states,
+    _taylor_degree,
 )
 
 PARAMS = ThreeLevelParams(20.0 / 21.0, 0.0, 1.0 / 21.0)
@@ -447,6 +452,64 @@ class TestAgreesWithScipyReference:
         reference_missed = l2_distance(math.sqrt(params.gamma_pl) * c_e,
                                        samples.values, samples.dt)
         assert missed <= 1.2 * reference_missed
+
+
+def random_generators(rng, norms):
+    """Generators [[W, w], [0, 0]] as six arrays: W decays and couples like a
+    Magnus step's and has infinity norm ``norms``, w is random."""
+    count = len(norms)
+    coupling = rng.normal(size=count) + 1j * rng.normal(size=count)
+    w00 = -rng.uniform(0.0, 1.0, count) + 1j * rng.uniform(-1.0, 1.0, count)
+    w01, w10 = 1j * coupling, 1j * np.conj(coupling)
+    w11 = 0.1j * rng.normal(size=count)
+    scale = norms / np.maximum(np.abs(w00) + np.abs(w01),
+                               np.abs(w10) + np.abs(w11))
+    return [scale * w00, scale * w01, scale * w10, scale * w11,
+            rng.normal(size=count) + 1j * rng.normal(size=count),
+            rng.normal(size=count) + 1j * rng.normal(size=count)]
+
+
+class TestPropagation:
+    """The Magnus steps' exponential and the scan that chains them."""
+
+    @pytest.mark.parametrize("norm", np.logspace(-6.0, math.log10(4.0), 25),
+                             ids="{:.2g}".format)
+    def test_affine_exp_matches_expm(self, norm):
+        rng = np.random.default_rng(int(1e3 * norm) + 7)
+        generator = random_generators(rng, np.full(4, norm))
+        maps = _affine_exp(generator)
+        for i in range(4):
+            full = np.zeros((3, 3), dtype=complex)
+            full[:2] = [[generator[0][i], generator[1][i], generator[4][i]],
+                        [generator[2][i], generator[3][i], generator[5][i]]]
+            expected = scipy.linalg.expm(full)[:2]
+            got = np.array([[maps[0][i], maps[1][i], maps[4][i]],
+                            [maps[2][i], maps[3][i], maps[5][i]]])
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(
+                np.abs(expected)), (norm, i)
+
+    def test_degree_rule(self):
+        assert _taylor_degree(_TAYLOR_RADIUS) == 12
+        # the step norms of storage at 1501, 4001 and 16001 samples
+        assert [_taylor_degree(t) for t in (0.031, 0.012, 0.0029)] == [7, 6, 5]
+
+    @pytest.mark.parametrize("count", [*range(1, 40), 1000])
+    def test_state_scan_matches_sequential_steps(self, count):
+        rng = np.random.default_rng(count)
+        # norms up to 3 make _affine_exp square up to three times
+        steps = _affine_exp(random_generators(
+            rng, rng.uniform(0.01, 3.0, count)))
+        start = (0.3 - 0.1j, 0.9 + 0.2j)
+        states = _scan_states(steps, start)
+        y0, y1 = start
+        expected = []
+        for p00, p01, p10, p11, q0, q1 in zip(*steps):
+            y0, y1 = p00 * y0 + p01 * y1 + q0, p10 * y0 + p11 * y1 + q1
+            expected.append((y0, y1))
+        expected = np.array(expected).T
+        assert np.shape(states) == expected.shape
+        assert np.max(np.abs(np.array(states) - expected)) <= 1e-12 * np.max(
+            np.abs(expected))
 
 
 class TestConditionalMirror:
