@@ -241,14 +241,22 @@ def field_observables(params: EmitterParams, rho: np.ndarray) -> FieldObservable
 
 
 def saturation_closed_form(purcell: float, omega_over_gamma: float) -> tuple[float, float]:
-    """Steady-state (T, R) on resonance as closed forms of P and omega_c/Gamma."""
-    x2 = 8.0 * omega_over_gamma**2
+    """Steady-state (T, R) on resonance as closed forms of P and omega_c/Gamma.
+
+    T = (1 + (1+P)^2 x2) / ((1+P)^2 (1+x2)) with x2 = 8 (omega_c/Gamma)^2 is
+    evaluated as x2/(1+x2) + 1/((1+P)^2 (1+x2)), and x2/(1+x2) as
+    1/(1 + 1/x2), so a drive whose x2 or (1+P)^2 x2 overflows gives T -> 1
+    rather than inf/inf.
+    """
+    omega = float(omega_over_gamma)
+    x2 = 8.0 * omega * omega
+    saturated = 1.0 / (1.0 + 1.0 / x2) if x2 else 0.0
     if math.isinf(purcell):
-        return x2 / (1.0 + x2), 1.0 / (1.0 + x2)
+        return saturated, 1.0 / (1.0 + x2)
     if purcell < 0.0:
         raise ValueError("purcell must be >= 0")
     one_plus = (1.0 + purcell) ** 2
-    t = (1.0 + one_plus * x2) / (one_plus * (1.0 + x2))
+    t = saturated + 1.0 / (one_plus * (1.0 + x2))
     if purcell == 0.0:
         r = 0.0
     else:

@@ -5,12 +5,16 @@ the waveguide continuum is discretized into two branches (right- and
 left-moving) of equally spaced modes around the emitter resonance, the
 single-excitation state is propagated by a Chebyshev expansion of
 exp(-iHt) whose coefficients are Bessel functions (Tal-Ezer & Kosloff,
-J. Chem. Phys. 81, 3967 (1984)), one O(n) arrowhead matvec per term, and
-the final mode populations give (R, T, loss) with no reference to the
-analytic reflection coefficient. A run is cut into the fewest equal
-segments whose R tau (spectral radius times segment length) stays at most
-4800, so the fixed term overhead of a series is paid once or a few times
-per run.
+J. Chem. Phys. 81, 3967 (1984)), and the final mode populations give
+(R, T, loss) with no reference to the analytic reflection coefficient.
+The emitter couples to the two branches only through their even
+combination (right + left)/sqrt 2 (Shen & Fan, Opt. Lett. 30, 2001
+(2005)), so the propagator changes basis: the series runs on the emitter
+and the n even modes, one O(n) arrowhead matvec per term, while the n odd
+modes (right - left)/sqrt 2 never meet the emitter and only pick up their
+free phases. A run is cut into the fewest equal segments whose R tau
+(spectral radius times segment length) stays at most 4800, so the fixed
+term overhead of a series is paid once or a few times per run.
 
 Conventions: linear dispersion around resonance, detunings delta_j on a
 symmetric offset grid (no mode sits exactly on resonance), per-mode coupling
@@ -182,7 +186,10 @@ def _spectral_bound(grid: ModeGrid, gamma_prime: float) -> tuple[float, float]:
     """Centre c and radius R with ||H - c|| <= R for the grid Hamiltonian.
 
     The diagonal part of H - c is bounded by its largest entry and the
-    arrowhead coupling part by its norm g sqrt(2n).
+    arrowhead coupling part by its norm g sqrt(2n). The same c and R bound
+    the even block the Chebyshev series runs on: its n modes couple with
+    sqrt(2) g, and (sqrt(2) g) sqrt(n) = g sqrt(2n), while the odd block is
+    diagonal with entries among the delta_j.
     """
     centre = 0.5 * float(grid.deltas[0] + grid.deltas[-1])
     diagonal = max(float(np.max(np.abs(grid.deltas - centre))),
@@ -200,13 +207,17 @@ def _propagate(
     """Apply exp(-i H t_final) to ``[c_e, right, left]`` by a Chebyshev series.
 
     H is the single-excitation grid Hamiltonian: H_00 = -i gamma_prime/2,
-    H_jj = delta_j on both branches and H_0j = H_j0 = -g. The run is cut
-    into max(1, ceil(R t_final / 4800)) equal segments of length tau, and
-    over each one exp(-i H tau) y = e^{-i c tau} sum_k a_k T_k((H - c)/R) y
-    with a_k = (2 - delta_k0) (-i)^k J_k(R tau) (Tal-Ezer & Kosloff,
-    J. Chem. Phys. 81, 3967 (1984)); ``n_terms`` defaults to
-    _term_count(R tau). Every segment end is a snapshot, checked against
-    the norm ceiling.
+    H_jj = delta_j on both branches and H_0j = H_j0 = -g. In the even and
+    odd modes e_j = (r_j + l_j)/sqrt 2 and o_j = (r_j - l_j)/sqrt 2 it
+    splits into an arrowhead block on ``[c_e, e]`` with coupling
+    -sqrt(2) g and the diagonal delta_j on o, so o(t) = o(0) e^{-i delta_j t}
+    exactly and only the length-(1 + n) vector ``[c_e, e]`` runs the series.
+    The run is cut into max(1, ceil(R t_final / 4800)) equal segments of
+    length tau, and over each one exp(-i H tau) y = e^{-i c tau} sum_k a_k
+    T_k((H - c)/R) y with a_k = (2 - delta_k0) (-i)^k J_k(R tau)
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)); ``n_terms``
+    defaults to _term_count(R tau). Every segment end is a snapshot of the
+    recombined ``[c_e, right, left]``, checked against the norm ceiling.
     """
     if t_final < 0.0:
         raise ValueError(f"cannot propagate backward to t_final = {t_final}")
@@ -218,11 +229,12 @@ def _propagate(
     coeffs = (2.0 * (-1j) ** np.arange(n_terms)
               * _bessel_j(radius * tau, n_terms) * np.exp(-1j * centre * tau))
     coeffs[0] /= 2.0
-    # diagonal and coupling of 2 (H - c)/R, the operator the recurrence applies
+    root2 = math.sqrt(2.0)
+    # diagonal and coupling of 2 (H_even - c)/R, the operator the recurrence
+    # applies to [c_e, e]
     diag2 = (2.0 / radius) * np.concatenate(
-        ([-0.5j * gamma_prime - centre], grid.deltas - centre,
-         grid.deltas - centre))
-    g2 = -2.0 * grid.coupling / radius
+        ([-0.5j * gamma_prime - centre], grid.deltas - centre))
+    g2 = -2.0 * root2 * grid.coupling / radius
 
     def double_step(y):
         out = diag2 * y
@@ -239,17 +251,30 @@ def _propagate(
                 "excitation-norm", f"norm {state.norm!r} at t = {t}")
         snapshots.append(state)
 
-    y = initial
-    record(0.0, y)
+    n = grid.n_modes
+    right, left = initial[1:1 + n], initial[1 + n:]
+    even = np.concatenate((initial[:1], (right + left) / root2))
+    even_modes0 = even[1:]
+    odd = (right - left) / root2
+    record(0.0, initial)
     for segment in range(segments):
-        previous, current = y, 0.5 * double_step(y)
-        y = coeffs[0] * previous + coeffs[1] * current
+        previous, current = even, 0.5 * double_step(even)
+        even = coeffs[0] * previous + coeffs[1] * current
         for a in coeffs[2:]:
             following = double_step(current)
             following -= previous
             previous, current = current, following
-            y += a * current
-        record((segment + 1) * tau, y)
+            even += a * current
+        t = (segment + 1) * tau
+        phase = np.exp(-1j * grid.deltas * t)
+        if grid.coupling == 0.0:
+            # nothing couples the even modes either: they take the exact
+            # phase too, so a branch no excitation entered stays empty
+            even[1:] = even_modes0 * phase
+        odd_t = odd * phase
+        y = np.concatenate((even[:1], (even[1:] + odd_t) / root2,
+                            (even[1:] - odd_t) / root2))
+        record(t, y)
     return y, snapshots
 
 
@@ -303,16 +328,16 @@ def scatter_wavepacket(
 def golden_rule_rate(grid: ModeGrid, t_probe: float = 2.0) -> float:
     """Measured emission rate into the grid modes from an excited emitter.
 
-    Integrates pure decay (no pulse, no non-guided loss) and fits the slope
-    of ln |c_e|^2 between t_probe/4 and t_probe; on a calibrated grid this
-    reproduces gamma_pl.
+    Integrates pure decay (no pulse, no non-guided loss) to t_probe/4 and
+    continues from there to t_probe, and fits the slope of ln |c_e|^2
+    between the two; on a calibrated grid this reproduces gamma_pl.
     """
     n = grid.n_modes
     y0 = np.zeros(1 + 2 * n, dtype=complex)
     y0[0] = 1.0
     t1 = t_probe / 4.0
     y_mid, _ = _propagate(grid, y0, t1, 0.0)
-    y_end, _ = _propagate(grid, y0, t_probe, 0.0)
+    y_end, _ = _propagate(grid, y_mid, t_probe - t1, 0.0)
     p1 = float(abs(y_mid[0]) ** 2)
     p2 = float(abs(y_end[0]) ** 2)
     return -math.log(p2 / p1) / (t_probe - t1)

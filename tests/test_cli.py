@@ -369,7 +369,6 @@ class TestPlumbing:
         ["g2", "--set", "omega=1e16", "--set", "purcell=0.6",
          "--set", "n_times=5"],
         ["jump", "--set", "omega=1e160"],
-        ["saturation", "--set", "omega=1e154"],
     ])
     def test_extreme_drive_exits_3(self, argv, capsys):
         with warnings.catch_warnings():
@@ -447,6 +446,8 @@ class TestContract:
     @given(st.sampled_from(_KEYS), st.sampled_from(_EDGE_VALUES))
     @example(("saturation", "omega"), "1e-300")
     @example(("saturation", "omega"), "1e160")
+    @example(("saturation", "omega"), "2.3e152")
+    @example(("saturation", "omega"), "1e154")
     @example(("g2", "tmax"), "1000")
     @example(("jump", "purcell"), "inf")
     @example(("transistor", "branching"), "inf")
@@ -478,3 +479,14 @@ class TestContract:
         again = run_cli(*argv)
         assert (again.returncode, again.stdout, again.stderr) == (
             proc.returncode, proc.stdout, proc.stderr)
+
+    @pytest.mark.parametrize("omega", ["2.3e152", "1e154"])
+    def test_drive_past_the_overflow_of_x2_saturates(self, omega):
+        """(1+P)^2 8 omega^2 overflows here, while omega^2 does not."""
+        proc = run_cli("saturation", "--set", f"omega={omega}")
+        assert proc.returncode == 0, proc.stderr
+        _, columns, rows = parse_dataset(proc.stdout)
+        named = dict(zip(columns, rows[0]))
+        assert named["T_closed"] == named["T_numeric"] == 1.0
+        assert 0.0 <= named["R_closed"] < 1e-300
+        assert 0.0 <= named["R_numeric"] < 1e-300

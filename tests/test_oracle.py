@@ -132,6 +132,25 @@ class TestChebyshevPropagator:
         assert exc.value.invariant == "excitation-norm"
         assert str(exc.value).endswith(f"at t = {snapshots[3].time}")
 
+    def test_antisymmetric_state_never_meets_the_emitter(self):
+        """right = -left is odd: the emitter stays empty, the modes only turn.
+
+        The odd modes carry no coupling, so across two segments c_e stays
+        exactly 0 and every mode keeps its modulus.
+        """
+        grid = build_grid(P20, 250, k_span=200.0)
+        _, radius = _spectral_bound(grid, P20.gamma_prime)
+        t = 1.5 * _MAX_SEGMENT_RT / radius
+        rng = np.random.default_rng(5)
+        right = rng.normal(size=grid.n_modes) + 1j * rng.normal(size=grid.n_modes)
+        y0 = np.concatenate(([0.0], right, -right)) / math.sqrt(
+            2.0 * np.vdot(right, right).real)
+        y, snapshots = _propagate(grid, y0, t, P20.gamma_prime)
+        assert len(snapshots) == 3
+        assert y[0] == 0.0
+        assert all(s.c_e == 0.0 for s in snapshots)
+        assert np.max(np.abs(np.abs(y) - np.abs(y0))) < 1e-15
+
 
 class TestGoldenRule:
     @pytest.mark.parametrize("n_modes", [1000, 2000])
