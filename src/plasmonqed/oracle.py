@@ -331,7 +331,18 @@ def golden_rule_rate(grid: ModeGrid, t_probe: float = 2.0) -> float:
     Integrates pure decay (no pulse, no non-guided loss) to t_probe/4 and
     continues from there to t_probe, and fits the slope of ln |c_e|^2
     between the two; on a calibrated grid this reproduces gamma_pl.
+
+    t_probe must be positive and, like a scattering run, stay within 0.8 of
+    the recurrence at 2 pi / spacing; a probe too short for |c_e|^2 to fall
+    between the two times is rejected as well.
     """
+    if not (math.isfinite(t_probe) and t_probe > 0.0):
+        raise ValueError(f"t_probe must be finite and positive, got {t_probe!r}")
+    if t_probe > 0.8 * grid.recurrence_time:
+        raise ValueError(
+            f"t_probe = {t_probe} reaches the mode-grid recurrence "
+            f"(first return near t = {grid.recurrence_time:.1f}); "
+            f"use a denser grid or a shorter probe")
     n = grid.n_modes
     y0 = np.zeros(1 + 2 * n, dtype=complex)
     y0[0] = 1.0
@@ -340,6 +351,10 @@ def golden_rule_rate(grid: ModeGrid, t_probe: float = 2.0) -> float:
     y_end, _ = _propagate(grid, y_mid, t_probe - t1, 0.0)
     p1 = float(abs(y_mid[0]) ** 2)
     p2 = float(abs(y_end[0]) ** 2)
+    if not 0.0 < p2 < p1:
+        raise ValueError(
+            f"t_probe = {t_probe} shows no decay: |c_e|^2 = {p1!r} at "
+            f"t_probe/4 and {p2!r} at t_probe")
     return -math.log(p2 / p1) / (t_probe - t1)
 
 

@@ -97,6 +97,9 @@ _TAYLOR_RADIUS = 0.5
 _TAYLOR_REMAINDER = (_TAYLOR_RADIUS**_TAYLOR_DEGREE
                      / math.factorial(_TAYLOR_DEGREE + 1)
                      * math.exp(_TAYLOR_RADIUS))
+# Sample intervals whose Magnus steps are built together: a block's complex
+# temporaries (64 KB) stay below glibc's 128 KB mmap threshold and in cache.
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -362,9 +365,12 @@ def _evolve(params: ThreeLevelParams, control: TimeSeries,
     Omega and the drive E are taken at the interval's two Gauss nodes from a
     cubic spline through the samples, and the step is
     exp(h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1]), a Taylor sum whose degree
-    the step norm sets. A recursive-doubling scan carries the state
-    (c_e, c_s) from (0, c_s0) through the steps to every sample. lost and
-    out are (gamma'_g + gamma_es) int |c_e|^2 and
+    the step norm sets. The steps are built in blocks of ``_BLOCK`` = 4096
+    intervals, each with the degree and squarings of its own norm, so that
+    their temporaries come from the heap and stay in cache; up to 4097
+    samples are one block. One recursive-doubling scan over all
+    the steps carries the state (c_e, c_s) from (0, c_s0) to every sample.
+    lost and out are (gamma'_g + gamma_es) int |c_e|^2 and
     int |E - sqrt(gamma_pl) c_e|^2 by the cumulative rule on the samples.
     """
     h = control.dt
@@ -372,20 +378,34 @@ def _evolve(params: ThreeLevelParams, control: TimeSeries,
     root_pl = math.sqrt(params.gamma_pl)
     om1, om2 = _at_gauss_nodes(control.values)
     e1, e2 = _at_gauss_nodes(root_pl * drive)
-    # off-diagonal entries i Omega, i conj(Omega) of A at the two nodes
-    a1, a2 = 1j * om1, 1j * om2
-    b1, b2 = 1j * np.conj(om1), 1j * np.conj(om2)
-    # [A2, A1] has the diagonal (x, -x), x = a2 b1 - a1 b2
     weight = math.sqrt(3.0) / 12.0 * h * h
-    commutator = a2 * b1 - a1 * b2
-    c_e, c_s = _scan_states(_affine_exp((
-        h * decay + weight * commutator,
-        0.5 * h * (a1 + a2) + weight * decay * (a1 - a2),
-        0.5 * h * (b1 + b2) + weight * decay * (b2 - b1),
-        -weight * commutator,
-        0.5 * h * (e1 + e2) + weight * decay * (e1 - e2),
-        weight * (b2 * e1 - b1 * e2),
-    )), (0.0, c_s0))
+    # a single block's maps are the steps themselves; more are gathered
+    # into full-length arrays for the one scan
+    n = len(om1)
+    steps = [np.empty(n, dtype=complex) for _ in range(6)] \
+        if n > _BLOCK else None
+    for start in range(0, n, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        # off-diagonal entries i Omega, i conj(Omega) of A at the two nodes
+        a1, a2 = 1j * om1[block], 1j * om2[block]
+        b1, b2 = 1j * np.conj(om1[block]), 1j * np.conj(om2[block])
+        f1, f2 = e1[block], e2[block]
+        # [A2, A1] has the diagonal (x, -x), x = a2 b1 - a1 b2
+        commutator = a2 * b1 - a1 * b2
+        maps = _affine_exp((
+            h * decay + weight * commutator,
+            0.5 * h * (a1 + a2) + weight * decay * (a1 - a2),
+            0.5 * h * (b1 + b2) + weight * decay * (b2 - b1),
+            -weight * commutator,
+            0.5 * h * (f1 + f2) + weight * decay * (f1 - f2),
+            weight * (b2 * f1 - b1 * f2),
+        ))
+        if steps is None:
+            steps = maps
+        else:
+            for whole, part in zip(steps, maps):
+                whole[block] = part
+    c_e, c_s = _scan_states(steps, (0.0, c_s0))
     c_e = np.concatenate([[0.0], c_e])
     c_s = np.concatenate([[c_s0], c_s])
     if not (np.all(np.isfinite(c_e)) and np.all(np.isfinite(c_s))):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,18 @@ class TestGoldenRule:
         wide = golden_rule_rate(build_grid(P20, 1000))
         target = P20.gamma_pl
         assert abs(wide - target) < abs(narrow - target)
+
+    @pytest.mark.parametrize("t_probe, message", [
+        (0.0, "t_probe must be finite and positive, got 0.0"),
+        (-1.0, "t_probe must be finite and positive, got -1.0"),
+        (math.nan, "t_probe must be finite and positive, got nan"),
+        (1e-9, "t_probe = 1e-09 shows no decay"),
+        (200.0, "t_probe = 200.0 reaches the mode-grid recurrence"),
+    ])
+    def test_rejects_probe_without_a_rate(self, t_probe, message):
+        # the recurrence of this grid is at 2 pi / 0.08 = 78.5
+        with pytest.raises(ValueError, match=re.escape(message)):
+            golden_rule_rate(build_grid(P20, 250), t_probe)
 
 
 class TestScatterWavepacket:

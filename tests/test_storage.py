@@ -9,7 +9,13 @@ import scipy.linalg
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
 
-from plasmonqed.core import FLUX_NORM, PulseShape, TimeSeries
+from plasmonqed import storage
+from plasmonqed.core import (
+    FLUX_NORM,
+    InvariantViolation,
+    PulseShape,
+    TimeSeries,
+)
 from plasmonqed.scatter import scatter_point
 from plasmonqed.storage import (
     _TAYLOR_RADIUS,
@@ -23,7 +29,9 @@ from plasmonqed.storage import (
     run_transistor,
     store_photon,
     transistor_gain,
+    _BLOCK,
     _affine_exp,
+    _evolve,
     _scan_states,
     _taylor_degree,
 )
@@ -510,6 +518,65 @@ class TestPropagation:
         assert np.shape(states) == expected.shape
         assert np.max(np.abs(np.array(states) - expected)) <= 1e-12 * np.max(
             np.abs(expected))
+
+
+def evolve_store_and_generate(params, matched):
+    """_evolve's (c_e, c_s, lost, out) for storing and for regenerating."""
+    control = matched.store_control.samples
+    stored = _evolve(params, control, matched.input.samples.values, 0.0)
+    control = matched.generate_control.samples
+    emitted = _evolve(params, control, np.zeros(len(control), complex), 1.0)
+    return [*stored, *emitted]
+
+
+class TestBlocks:
+    """_evolve builds its Magnus steps in blocks of _BLOCK intervals."""
+
+    @pytest.mark.parametrize("block", [7, 11, 99, 200])
+    def test_block_length_does_not_move_the_result(self, monkeypatch, block):
+        # 99 intervals: blocks of 7 end in one of a single interval, blocks
+        # of 11 fill it exactly, 99 and 200 make one block
+        params = three_level(20.0, 0.5, 0.2)
+        matched = matched_storage(params, duration=50.0, n_samples=100)
+        whole = evolve_store_and_generate(params, matched)
+        monkeypatch.setattr(storage, "_BLOCK", block)
+        blocked = evolve_store_and_generate(params, matched)
+        for a, b in zip(blocked, whole):
+            assert np.max(np.abs(a - b)) <= 1e-14
+
+    @pytest.mark.parametrize("n_samples", [4097, 4098, 8193])
+    def test_real_block_length_matches_one_block(self, monkeypatch,
+                                                 n_samples):
+        # 4096 intervals are one block, 4097 end in a block of one
+        # interval, 8192 are two full blocks
+        matched = matched_pair(50.0, n_samples)
+        blocked = evolve_store_and_generate(PARAMS, matched)
+        monkeypatch.setattr(storage, "_BLOCK", n_samples)
+        whole = evolve_store_and_generate(PARAMS, matched)
+        for a, b in zip(blocked, whole):
+            if n_samples - 1 <= _BLOCK:
+                assert np.array_equal(a, b)
+            assert np.max(np.abs(a - b)) <= 1e-14
+
+    @pytest.mark.parametrize("field, message", [
+        ("control", "non-finite control or drive"),
+        # the drive enters only the affine part of the steps, so the norm
+        # check on each block passes it and the amplitude check catches it
+        ("drive", "non-finite amplitudes"),
+    ])
+    def test_non_finite_sample_in_last_block(self, field, message):
+        matched = matched_pair(50.0, 2 * _BLOCK + 1)
+        values = {"control": matched.store_control.samples.values.copy(),
+                  "drive": matched.input.samples.values.copy()}
+        # the spline spreads a sample over 30 neighbours on each side, all
+        # of them intervals of the second block
+        values[field][-200] = np.nan
+        control, drive = (PulseShape(TimeSeries(0.0, matched.input.samples.dt,
+                                                values[name]), FLUX_NORM)
+                          for name in ("control", "drive"))
+        with pytest.raises(InvariantViolation, match=message) as caught:
+            store_photon(PARAMS, drive, control)
+        assert caught.value.invariant == "amplitude-integration"
 
 
 class TestConditionalMirror:
