@@ -112,11 +112,10 @@ class Propagator:
 
 
 class PropagatorFamily:
-    """Evaluates exp(L t) for many t from one spectral decomposition.
-
-    Falls back to Taylor scaling-and-squaring per call when the eigenvector
-    matrix is too ill-conditioned to invert accurately (near exceptional
-    points of the generator). ``eigenvalues`` holds the generator's spectrum either way.
+    """Evaluates exp(L t) at one t, or at an array of them in one broadcast,
+    from one spectral decomposition. Near exceptional points, where the
+    eigenvector matrix is too ill-conditioned to invert accurately, it falls
+    back to ``_expm`` at each t. ``eigenvalues`` holds the spectrum either way.
     """
 
     def __init__(self, params: EmitterParams):
@@ -132,12 +131,16 @@ class PropagatorFamily:
         else:
             self.diagonalizable = False
 
-    def matrix(self, t: float) -> np.ndarray:
-        if t < 0:
+    def matrix(self, t) -> np.ndarray:
+        """exp(L t), stacked over the shape of t."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t < 0):
             raise ValueError("propagation time must be >= 0")
         if self.diagonalizable:
-            return (self._vectors * np.exp(self.eigenvalues * t)) @ self._inverse
-        return _expm(self.generator * t)
+            phases = np.exp(t[..., None, None] * self.eigenvalues)
+            return (self._vectors * phases) @ self._inverse
+        stack = [_expm(self.generator * s) for s in t.flat]
+        return np.reshape(stack, t.shape + (4, 4))
 
     def propagator(self, t: float) -> Propagator:
         return Propagator(self.matrix(t), float(t))

@@ -7,6 +7,8 @@ the quantum regression theorem,
 
 with a the scaled transmitted or reflected field operator. Detecting a photon
 projects the emitter onto the conditional state a rho_ss a^+ (normalized).
+g2 is one spectral expression over all delays (bloch.PropagatorFamily.matrix),
+except at the exceptional point omega_c = Gamma/8, which falls back to _expm.
 
 The reflected field is proportional to sigma_ge, so its g2 is that of
 resonance fluorescence at every drive (Kimble & Mandel, Phys. Rev. A 13,
@@ -39,7 +41,6 @@ from .core import EmitterParams, InvariantViolation, TimeSeries
 __all__ = [
     "G2Curve",
     "JumpState",
-    "G2Evaluator",
     "g2",
     "g2_value",
     "g2_weakfield_analytic",
@@ -98,8 +99,6 @@ def _uniform_times(times) -> TimeSeries:
     t = np.asarray(times, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("times must be a non-empty 1-D grid")
-    if np.any(t < 0):
-        raise ValueError("times must be >= 0")
     if t.size == 1:
         return TimeSeries(float(t[0]), 1.0, t * 0.0)
     steps = np.diff(t)
@@ -108,51 +107,44 @@ def _uniform_times(times) -> TimeSeries:
     return TimeSeries(float(t[0]), float(steps[0]), t * 0.0)
 
 
-class G2Evaluator:
-    """Reusable correlation evaluator for one parameter set and branch."""
+def _post_click(params: EmitterParams, branch: str):
+    """rho_ss, the field operator a, a rho_ss a^+ and its trace <a^+ a>_ss."""
+    rho_ss = bloch.steady_state(params)
+    a = bloch.field_operator(params, branch)
+    unnormalized = a @ rho_ss @ a.conj().T
+    norm = float(np.real(np.trace(unnormalized)))
+    if norm <= _DETECTION_FLOOR:
+        raise ValueError(f"zero detection probability on the {branch} branch")
+    return rho_ss, a, unnormalized, norm
 
-    def __init__(self, params: EmitterParams, branch: str):
-        if params.omega_c <= 0.0:
-            raise ValueError("omega_c must be positive for stationary g2")
-        self.params = params
-        self.branch = branch
-        self.family = bloch.PropagatorFamily(params)
-        spectral_error = (np.finfo(float).eps
-                          * np.max(np.abs(self.family.eigenvalues))
-                          / params.gamma_total)
-        if not spectral_error <= _SPECTRAL_ERROR_LIMIT:
-            raise InvariantViolation(
-                "g2-drive-precision",
-                f"eps * max|eigenvalue of L| = {spectral_error:.3g} Gamma, "
-                f"limit {_SPECTRAL_ERROR_LIMIT:g} Gamma")
-        self.rho_ss = bloch.steady_state(params)
-        self.a = bloch.field_operator(params, branch)
-        self.number_op = self.a.conj().T @ self.a
-        self.intensity_ss = float(np.real(np.trace(self.rho_ss @ self.number_op)))
-        if self.intensity_ss <= _DETECTION_FLOOR:
-            raise ValueError(
-                f"zero detection probability on the {branch} branch")
-        self._conditional = (self.a @ self.rho_ss @ self.a.conj().T).reshape(4)
-        self._number_row = self.number_op.T.reshape(4)
 
-    def value(self, t: float) -> float:
-        evolved = self.family.matrix(t) @ self._conditional
-        correlator = float(np.real(self._number_row @ evolved))
-        return correlator / self.intensity_ss**2
-
-    def curve(self, times) -> G2Curve:
-        grid = _uniform_times(times)
-        sampled = np.array([self.value(t) for t in grid.grid])
-        return G2Curve(grid, sampled, self.branch)
+def _g2(params: EmitterParams, branch: str, times) -> np.ndarray:
+    """Tr[a^+ a e^{L t}(a rho_ss a^+)] / <a^+ a>_ss^2 at each delay t."""
+    if params.omega_c <= 0.0:
+        raise ValueError("omega_c must be positive for stationary g2")
+    family = bloch.PropagatorFamily(params)
+    spectral_error = (np.finfo(float).eps * np.max(np.abs(family.eigenvalues))
+                      / params.gamma_total)
+    if not spectral_error <= _SPECTRAL_ERROR_LIMIT:
+        raise InvariantViolation(
+            "g2-drive-precision",
+            f"eps * max|eigenvalue of L| = {spectral_error:.3g} Gamma, "
+            f"limit {_SPECTRAL_ERROR_LIMIT:g} Gamma")
+    _, a, conditional, intensity = _post_click(params, branch)
+    number_row = (a.conj().T @ a).T.reshape(4)
+    evolved = family.matrix(times) @ conditional.reshape(4)
+    # a sum, not a matrix product, so no delay's value depends on the others
+    return np.real(np.sum(evolved * number_row, axis=-1)) / intensity**2
 
 
 def g2(params: EmitterParams, branch: str, times) -> G2Curve:
     """Stationary normalized g2 on a uniform grid of delays."""
-    return G2Evaluator(params, branch).curve(times)
+    grid = _uniform_times(times)
+    return G2Curve(grid, _g2(params, branch, grid.grid), branch)
 
 
 def g2_value(params: EmitterParams, branch: str, t: float) -> float:
-    return G2Evaluator(params, branch).value(t)
+    return float(_g2(params, branch, t))
 
 
 def g2_weakfield_analytic(purcell: float, t) -> np.ndarray | float:
@@ -177,22 +169,14 @@ def antibunching_time(purcell: float) -> float | None:
 
 def jump_state(params: EmitterParams, branch: str) -> JumpState:
     """Conditional emitter state right after a detection on a branch."""
-    rho_ss = bloch.steady_state(params)
-    a = bloch.field_operator(params, branch)
-    unnormalized = a @ rho_ss @ a.conj().T
-    norm = float(np.real(np.trace(unnormalized)))
-    if norm <= _DETECTION_FLOOR:
-        raise ValueError(f"zero detection probability on the {branch} branch")
+    rho_ss, a, unnormalized, norm = _post_click(params, branch)
     rho_jump = unnormalized / norm
     rho_jump = 0.5 * (rho_jump + rho_jump.conj().T)
     if not np.all(np.isfinite(rho_jump)):
         raise InvariantViolation(
             "jump-state-non-finite", f"detection probability {norm!r}")
     mean_ss = complex(np.trace(rho_ss @ a))
-    mean_jump = complex(np.trace(rho_jump @ a))
-    if mean_ss == 0:
-        ratio = complex(math.nan, math.nan)
-    else:
-        ratio = mean_jump / mean_ss
+    ratio = (complex(np.trace(rho_jump @ a)) / mean_ss if mean_ss != 0
+             else complex(math.nan, math.nan))
     return JumpState(rho_jump, branch, ratio)
 

@@ -49,6 +49,9 @@ _RESOLUTION_TOL = 1e-4
 _CLEARED_TOL = 1e-6
 _BOOKKEEPING_TOL = 1e-6
 _NORM_CEILING = 1.0 + 1e-9
+# Largest difference of golden_rule_rate's two slopes relative to the rate:
+# 1e-2 for the default probe on calibrated grids, 0.6 in the quadratic onset.
+_WINDOW_TOLERANCE = 5e-2
 # Largest R tau per Chebyshev segment: the largest Bessel argument that
 # test_bessel_matches_scipy pins against scipy.special.jv.
 _MAX_SEGMENT_RT = 4800.0
@@ -328,13 +331,14 @@ def scatter_wavepacket(
 def golden_rule_rate(grid: ModeGrid, t_probe: float = 2.0) -> float:
     """Measured emission rate into the grid modes from an excited emitter.
 
-    Integrates pure decay (no pulse, no non-guided loss) to t_probe/4 and
-    continues from there to t_probe, and fits the slope of ln |c_e|^2
-    between the two; on a calibrated grid this reproduces gamma_pl.
+    Integrates pure decay (no pulse, no non-guided loss) to t_probe/4,
+    t_probe/2 and t_probe, and fits the slope of ln |c_e|^2 from t_probe/4
+    to t_probe; on a calibrated grid this reproduces gamma_pl.
 
     t_probe must be positive and, like a scattering run, stay within 0.8 of
     the recurrence at 2 pi / spacing; a probe too short for |c_e|^2 to fall
-    between the two times is rejected as well.
+    between the two times is rejected as well, and so is one whose slopes
+    before and after t_probe/2 disagree (quadratic onset or late tail).
     """
     if not (math.isfinite(t_probe) and t_probe > 0.0):
         raise ValueError(f"t_probe must be finite and positive, got {t_probe!r}")
@@ -343,19 +347,26 @@ def golden_rule_rate(grid: ModeGrid, t_probe: float = 2.0) -> float:
             f"t_probe = {t_probe} reaches the mode-grid recurrence "
             f"(first return near t = {grid.recurrence_time:.1f}); "
             f"use a denser grid or a shorter probe")
-    n = grid.n_modes
-    y0 = np.zeros(1 + 2 * n, dtype=complex)
-    y0[0] = 1.0
-    t1 = t_probe / 4.0
-    y_mid, _ = _propagate(grid, y0, t1, 0.0)
-    y_end, _ = _propagate(grid, y_mid, t_probe - t1, 0.0)
-    p1 = float(abs(y_mid[0]) ** 2)
-    p2 = float(abs(y_end[0]) ** 2)
-    if not 0.0 < p2 < p1:
+    y = np.zeros(1 + 2 * grid.n_modes, dtype=complex)
+    y[0] = 1.0
+    populations = []
+    for step in (t_probe / 4.0, t_probe / 4.0, t_probe / 2.0):
+        y, _ = _propagate(grid, y, step, 0.0)
+        populations.append(float(abs(y[0]) ** 2))
+    p1, p_mid, p2 = populations
+    if not (p_mid > 0.0 and 0.0 < p2 < p1):
         raise ValueError(
             f"t_probe = {t_probe} shows no decay: |c_e|^2 = {p1!r} at "
             f"t_probe/4 and {p2!r} at t_probe")
-    return -math.log(p2 / p1) / (t_probe - t1)
+    rate = -math.log(p2 / p1) / (0.75 * t_probe)
+    first = -math.log(p_mid / p1) / (0.25 * t_probe)
+    second = -math.log(p2 / p_mid) / (0.5 * t_probe)
+    if abs(first - second) > _WINDOW_TOLERANCE * rate:
+        raise ValueError(
+            f"t_probe = {t_probe} is outside the exponential window: the "
+            f"slopes {first:.4g} and {second:.4g} before and after t_probe/2 "
+            f"differ by more than {_WINDOW_TOLERANCE:g} of the rate")
+    return rate
 
 
 @dataclass(frozen=True)

@@ -293,7 +293,8 @@ def _affine_exp(generator):
     w00, w01, w10, w11, v0, v1 = generator
     norm = float(np.max(np.maximum(np.abs(w00) + np.abs(w01),
                                    np.abs(w10) + np.abs(w11)), initial=0.0))
-    if not math.isfinite(norm):
+    if not (math.isfinite(norm) and np.all(np.isfinite(v0))
+            and np.all(np.isfinite(v1))):
         raise InvariantViolation("amplitude-integration",
                                  "non-finite control or drive")
     squarings = max(0, math.ceil(math.log2(norm / _TAYLOR_RADIUS))) \

@@ -147,6 +147,22 @@ class TestPropagator:
         with pytest.raises(ValueError):
             fam.matrix(-0.1)
 
+    @pytest.mark.parametrize("omega, delta", [(0.7, 0.4), (0.125, 0.0)])
+    def test_array_of_times_is_the_stack_of_scalar_calls(self, omega, delta):
+        # omega = 0.125 on resonance is the exceptional point's fallback
+        fam = PropagatorFamily(params_from_purcell(20.0, omega_c=omega,
+                                                   delta=delta))
+        assert fam.diagonalizable == (omega != 0.125)
+        times = np.linspace(0.0, 20.0, 41)
+        stack = fam.matrix(times)
+        assert stack.shape == (41, 4, 4)
+        assert np.array_equal(stack, [fam.matrix(t) for t in times])
+
+    def test_array_with_a_negative_time_is_rejected(self):
+        fam = PropagatorFamily(params_from_purcell(20.0, omega_c=1.0))
+        with pytest.raises(ValueError):
+            fam.matrix(np.array([0.0, 1.0, -0.1, 2.0]))
+
     def test_propagate_rejects_bad_shape(self):
         p = params_from_purcell(20.0, omega_c=1.0)
         with pytest.raises(ValueError):

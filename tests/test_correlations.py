@@ -74,6 +74,13 @@ class TestWeakFieldLimit:
             options={"xtol": 1e-10})
         assert abs(result.x - t0) < 0.02
 
+    @pytest.mark.parametrize("branch", ["transmitted", "reflected"])
+    def test_value_is_the_curve_at_that_delay(self, branch):
+        p = params_from_purcell(20.0, omega_c=0.01)
+        curve = g2(p, branch, np.linspace(0.0, 10.0, 401))
+        for t, value in zip(curve.grid, curve.values):
+            assert abs(g2_value(p, branch, t) - value) <= 1e-15, t
+
     def test_long_delay_decorrelates(self):
         value = g2_value(params_from_purcell(20.0, omega_c=0.3),
                          "transmitted", 60.0)

@@ -172,11 +172,23 @@ class TestGoldenRule:
         (math.nan, "t_probe must be finite and positive, got nan"),
         (1e-9, "t_probe = 1e-09 shows no decay"),
         (200.0, "t_probe = 200.0 reaches the mode-grid recurrence"),
+        # |c_e|^2 has fallen to 1e-26 and the grid's tail dominates
+        (62.0, "t_probe = 62.0 is outside the exponential window"),
+        # the decay is still quadratic
+        (1e-6, "t_probe = 1e-06 is outside the exponential window"),
     ])
     def test_rejects_probe_without_a_rate(self, t_probe, message):
         # the recurrence of this grid is at 2 pi / 0.08 = 78.5
         with pytest.raises(ValueError, match=re.escape(message)):
             golden_rule_rate(build_grid(P20, 250), t_probe)
+
+    @pytest.mark.parametrize("purcell", [5.0, 20.0, 50.0])
+    def test_default_probe_is_in_the_exponential_window(self, purcell):
+        # the two half-window slopes differ by at most 1e-2 of the rate here
+        params = params_from_purcell(purcell)
+        for n_modes in (250, 500, 1000, 2000):
+            rate = golden_rule_rate(build_grid(params, n_modes))
+            assert rate == pytest.approx(params.gamma_pl, rel=2e-2), n_modes
 
 
 class TestScatterWavepacket:

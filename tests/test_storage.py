@@ -560,9 +560,9 @@ class TestBlocks:
 
     @pytest.mark.parametrize("field, message", [
         ("control", "non-finite control or drive"),
-        # the drive enters only the affine part of the steps, so the norm
-        # check on each block passes it and the amplitude check catches it
-        ("drive", "non-finite amplitudes"),
+        # the drive enters only the affine part of the steps, which each
+        # block checks next to the norm of its linear part
+        ("drive", "non-finite control or drive"),
     ])
     def test_non_finite_sample_in_last_block(self, field, message):
         matched = matched_pair(50.0, 2 * _BLOCK + 1)
