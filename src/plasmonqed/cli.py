@@ -189,37 +189,30 @@ def _resolve_config(command: str, args) -> dict[str, str]:
     return config
 
 
-def _format(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
-
-
-def _write_dataset(out_path, command, config, seed, columns, rows,
-                   summary=()):
-    """Write the table, or nothing if any row has the wrong width or a
-    non-finite value (exit 3, naming the column and the row)."""
+def _write_dataset(out_path, command, config, seed, table, summary):
+    """Write the header and the table of named columns, or nothing if the
+    columns differ in length or any cell is not finite (exit 3, naming the
+    column and the row)."""
+    names = list(table)
+    lengths = {name: len(values) for name, values in table.items()}
+    if len(set(lengths.values())) > 1:
+        raise InvariantViolation("dataset-column-count",
+                                 f"column lengths {lengths}")
+    cells = np.array(list(table.values()), dtype=float).T
+    bad = ~np.isfinite(cells)
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), len(names))
+        raise InvariantViolation(
+            "dataset-non-finite",
+            f"{names[col]} = {cells[row, col]:.17g} at "
+            f"{names[0]} = {cells[row, 0]:.17g}")
     lines = [f"# plasmonqed {__version__}", f"# command = {command}",
-             f"# seed = {seed}"]
-    for key in sorted(config):
-        lines.append(f"# {key} = {config[key]}")
-    for entry in summary:
-        lines.append(f"# {entry}")
-    lines.append("# columns: " + " ".join(columns))
-    for row in rows:
-        if len(row) != len(columns):
-            raise InvariantViolation(
-                "dataset-column-count",
-                f"row width {len(row)} != {len(columns)}")
-        for name, value in zip(columns, row):
-            if not math.isfinite(value):
-                raise InvariantViolation(
-                    "dataset-non-finite",
-                    f"{name} = {_format(value)} at "
-                    f"{columns[0]} = {_format(row[0])}")
-        lines.append(" ".join(_format(v) for v in row))
+             f"# seed = {seed}",
+             *(f"# {key} = {config[key]}" for key in sorted(config)),
+             *(f"# {entry}" for entry in summary),
+             "# columns: " + " ".join(names)]
+    row_format = " ".join(["%.17g"] * len(names))
+    lines.extend(row_format % tuple(row) for row in cells)
     text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
@@ -228,23 +221,24 @@ def _write_dataset(out_path, command, config, seed, columns, rows,
             handle.write(text)
 
 
-def cmd_scatter(config, args):
+def cmd_scatter(config, seed):
     purcell = _parse_float(config["purcell"], "purcell")
     deltas = _parse_floats(config["delta"], "delta")
     if not np.all(np.isfinite(deltas)):
         raise ConfigError("delta: detunings must be finite")
     params = params_from_purcell(purcell)
     points = scatter_spectrum(params, deltas)
-    rows = [(p.delta, p.reflectance, p.transmittance, p.loss) for p in points]
-    _write_dataset(args.out, "scatter", config, args.seed,
-                   ["delta", "R", "T", "kappa"], rows)
+    values = np.fromiter(
+        ((p.delta, p.reflectance, p.transmittance, p.loss) for p in points),
+        np.dtype((float, 4)), len(points))
+    return dict(zip(["delta", "R", "T", "kappa"], values.T)), ()
 
 
-def cmd_saturation(config, args):
+def cmd_saturation(config, seed):
     purcell = _parse_float(config["purcell"], "purcell")
     omegas = _parse_floats(config["omega"], "omega")
-    rows = []
-    for omega in omegas:
+    values = np.empty((4, omegas.size))
+    for i, omega in enumerate(omegas):
         if omega <= 0:
             raise ConfigError("omega: drive strengths must be positive")
         # the observables divide by the drive flux omega^2, and the closed
@@ -259,14 +253,13 @@ def cmd_saturation(config, args):
         t_closed, r_closed = saturation_closed_form(purcell, omega)
         params = params_from_purcell(purcell, omega_c=omega)
         obs = field_observables(params, steady_state(params))
-        rows.append((omega, t_closed, r_closed, obs.transmittance,
-                     obs.reflectance))
-    _write_dataset(args.out, "saturation", config, args.seed,
-                   ["omega", "T_closed", "R_closed", "T_numeric", "R_numeric"],
-                   rows)
+        values[:, i] = (t_closed, r_closed, obs.transmittance,
+                        obs.reflectance)
+    return dict(zip(["omega", "T_closed", "R_closed", "T_numeric",
+                     "R_numeric"], [omegas, *values])), ()
 
 
-def cmd_g2(config, args):
+def cmd_g2(config, seed):
     purcells = _parse_floats(config["purcell"], "purcell")
     omega = _parse_float(config["omega"], "omega")
     branch = config["branch"]
@@ -278,29 +271,33 @@ def cmd_g2(config, args):
     if branch == "transmitted" and not np.all(np.isfinite(purcells)):
         raise ConfigError("purcell: the transmitted branch's weak-field "
                           "column needs finite P")
+    labels = [f"{p:g}" for p in purcells]
+    if len(set(labels)) < len(labels):
+        raise ConfigError(f"purcell: values {', '.join(labels)} repeat a "
+                          f"column label")
     tmax = _parse_float(config["tmax"], "tmax")
     n_times = _parse_int(config["n_times"], "n_times")
     if tmax <= 0 or n_times < 2:
         raise ConfigError("need tmax > 0 and n_times >= 2")
     times = np.linspace(0.0, tmax, n_times)
-    curves = [g2(params_from_purcell(float(p), omega_c=omega), branch,
-                 times).values for p in purcells]
-    columns = ["t"] + [f"g2_P{p:g}" for p in purcells]
-    table = [times] + curves
+    table = {"t": times}
+    for label, p in zip(labels, purcells):
+        params = params_from_purcell(float(p), omega_c=omega)
+        table[f"g2_P{label}"] = g2(params, branch, times).values
     if branch == "transmitted":
-        columns += [f"analytic_P{p:g}" for p in purcells]
-        table += [g2_weakfield_analytic(float(p), times) for p in purcells]
-    rows = list(zip(*table))
-    _write_dataset(args.out, "g2", config, args.seed, columns, rows)
+        for label, p in zip(labels, purcells):
+            table[f"analytic_P{label}"] = g2_weakfield_analytic(float(p),
+                                                                times)
+    return table, ()
 
 
-def cmd_jump(config, args):
+def cmd_jump(config, seed):
     purcell = _parse_float(config["purcell"], "purcell")
     omegas = _parse_floats(config["omega"], "omega")
     if not math.isfinite(purcell):
         raise ConfigError("purcell: the weak-limit columns need finite P")
-    rows = []
-    for omega in omegas:
+    values = np.empty((4, omegas.size))
+    for i, omega in enumerate(omegas):
         if omega <= 0:
             raise ConfigError("omega: drive strengths must be positive")
         # the jump state's coherence scales as omega^3
@@ -312,14 +309,14 @@ def cmd_jump(config, args):
         rho_ss = steady_state(params)
         coherence = complex(np.trace(state.rho_jump @ SIGMA_GE))
         coherence /= complex(np.trace(rho_ss @ SIGMA_GE))
-        rows.append((omega, coherence.real, state.amplitude_ratio.real,
-                     1.0 + purcell, -(purcell**2 - 1.0)))
-    _write_dataset(args.out, "jump", config, args.seed,
-                   ["omega", "coherence_ratio", "amplitude_ratio",
-                    "coherence_weak_limit", "amplitude_weak_limit"], rows)
+        values[:, i] = (coherence.real, state.amplitude_ratio.real,
+                        1.0 + purcell, -(purcell**2 - 1.0))
+    return dict(zip(["omega", "coherence_ratio", "amplitude_ratio",
+                     "coherence_weak_limit", "amplitude_weak_limit"],
+                    [omegas, *values])), ()
 
 
-def cmd_oracle(config, args):
+def cmd_oracle(config, seed):
     purcell = _parse_float(config["purcell"], "purcell")
     sigma = _parse_float(config["sigma"], "sigma")
     n_modes = _parse_ints(config["n_modes"], "n_modes")
@@ -333,17 +330,17 @@ def cmd_oracle(config, args):
     report = convergence_report(grids, gaussian_spectrum(sigma),
                                 t_peak=t_peak, t_final=t_final)
     r_avg, t_avg, _ = report.reference
-    rows = [(n, error, result.r_sim, result.t_sim, result.loss_sim)
-            for (n, error), result in zip(report.rows, report.results)]
-    final_error = rows[-1][1]
-    if not final_error < 1e-2:
+    errors = [error for _, error in report.rows]
+    if not errors[-1] < 1e-2:
         raise InvariantViolation(
             "oracle-final-error",
-            f"|R_sim - R_avg| = {final_error!r} at n = {n_modes[-1]}")
-    summary = (f"R_avg = {_format(r_avg)}", f"T_avg = {_format(t_avg)}")
-    _write_dataset(args.out, "oracle", config, args.seed,
-                   ["n_modes", "error", "R_sim", "T_sim", "loss_sim"],
-                   rows, summary)
+            f"|R_sim - R_avg| = {errors[-1]!r} at n = {n_modes[-1]}, "
+            f"limit 1e-2")
+    table = {"n_modes": n_modes, "error": errors,
+             "R_sim": [r.r_sim for r in report.results],
+             "T_sim": [r.t_sim for r in report.results],
+             "loss_sim": [r.loss_sim for r in report.results]}
+    return table, (f"R_avg = {r_avg:.17g}", f"T_avg = {t_avg:.17g}")
 
 
 def _three_level_from(purcell: float, gamma_es: float):
@@ -359,7 +356,7 @@ def _three_level_from(purcell: float, gamma_es: float):
     return ThreeLevelParams(gamma_pl, max(0.0, other - gamma_es), gamma_es)
 
 
-def cmd_storage(config, args):
+def cmd_storage(config, seed):
     from .storage import matched_storage, store_photon
 
     purcell = _parse_float(config["purcell"], "purcell")
@@ -373,21 +370,20 @@ def cmd_storage(config, args):
     params = _three_level_from(purcell, gamma_es)
     matched = matched_storage(params, duration=duration, n_samples=n_samples)
     result = store_photon(params, matched.input, matched.store_control)
-    t = matched.input.samples.grid
     e_in = matched.input.samples.values
     control = matched.store_control.samples.values
     c_e, c_s = result.amplitudes
-    rows = list(zip(t, e_in.real, e_in.imag, control.real, control.imag,
-                    np.abs(c_e.values) ** 2, np.abs(c_s.values) ** 2))
-    summary = (f"efficiency = {_format(result.efficiency)}",
-               f"leakage = {_format(result.leakage)}",
-               f"loss = {_format(result.loss)}")
-    _write_dataset(args.out, "storage", config, args.seed,
-                   ["t", "E_in_re", "E_in_im", "control_re", "control_im",
-                    "ce_abs2", "cs_abs2"], rows, summary)
+    table = {"t": matched.input.samples.grid,
+             "E_in_re": e_in.real, "E_in_im": e_in.imag,
+             "control_re": control.real, "control_im": control.imag,
+             "ce_abs2": np.abs(c_e.values) ** 2,
+             "cs_abs2": np.abs(c_s.values) ** 2}
+    return table, (f"efficiency = {result.efficiency:.17g}",
+                   f"leakage = {result.leakage:.17g}",
+                   f"loss = {result.loss:.17g}")
 
 
-def cmd_transistor(config, args):
+def cmd_transistor(config, seed):
     from .storage import conditional_mirror, run_transistor, transistor_gain
 
     purcell = _parse_float(config["purcell"], "purcell")
@@ -410,28 +406,26 @@ def cmd_transistor(config, args):
         raise ConfigError("need signals >= 0, trials >= 1, duration > 0")
     params = _three_level_from(purcell, 1.0 / (1.0 + branching))
     mirror = conditional_mirror("g", params.as_two_level())
-    gain = transistor_gain(params, trials, args.seed)
-    run = run_transistor(params, gate, signals, seed=args.seed,
+    gain = transistor_gain(params, trials, seed)
+    run = run_transistor(params, gate, signals, seed=seed,
                          storage_duration=duration)
     # no gate photon was sent, so none was stored
     efficiency = (0.0 if run.storage_efficiency is None
                   else run.storage_efficiency)
-    rows = [(efficiency, mirror.reflectance, mirror.transmittance,
-             gain.mean, gain.ci95, gain.analytic_mean,
-             run.reflected, run.transmitted,
-             run.flip_occurred, run.gate_stored)]
+    table = {"storage_efficiency": [efficiency],
+             "R_mirror": [mirror.reflectance],
+             "T_mirror": [mirror.transmittance],
+             "gain_mean": [gain.mean], "gain_ci95": [gain.ci95],
+             "gain_analytic": [gain.analytic_mean],
+             "reflected": [run.reflected], "transmitted": [run.transmitted],
+             "flip": [run.flip_occurred], "gate_stored": [run.gate_stored]}
     summary = (
-        f"gain: {_format(gain.mean)} +- {_format(gain.ci95)} "
-        f"(analytic {_format(gain.analytic_mean)})",
-        f"routing: reflected {_format(run.reflected)}, "
-        f"transmitted {_format(run.transmitted)} of {signals} signals",
+        f"gain: {gain.mean:.17g} +- {gain.ci95:.17g} "
+        f"(analytic {gain.analytic_mean:.17g})",
+        f"routing: reflected {run.reflected:.17g}, "
+        f"transmitted {run.transmitted:.17g} of {signals} signals",
     )
-    _write_dataset(args.out, "transistor", config, args.seed,
-                   ["storage_efficiency", "R_mirror", "T_mirror",
-                    "gain_mean", "gain_ci95", "gain_analytic",
-                    "reflected", "transmitted", "flip", "gate_stored"],
-                   rows, summary)
-
+    return table, summary
 
 _COMMANDS = {
     "scatter": cmd_scatter,
@@ -477,7 +471,9 @@ def main(argv=None) -> int:
         # Overflow at extreme drive is caught by the finite checks and
         # reported below as one line; numpy's warnings would only precede it.
         with np.errstate(all="ignore"):
-            _COMMANDS[args.command](config, args)
+            table, summary = _COMMANDS[args.command](config, args.seed)
+            _write_dataset(args.out, args.command, config, args.seed, table,
+                           summary)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -75,7 +75,8 @@ class G2Curve:
                 "values")
         if np.min(values) < _CLIP_FLOOR:
             raise InvariantViolation(
-                "g2-negativity", f"minimum value {np.min(values)!r}")
+                "g2-negativity",
+                f"minimum value {np.min(values)!r}, limit {_CLIP_FLOOR:g}")
         # tiny negative round-off at exact zeros is reported as 0
         object.__setattr__(self, "values", np.where(values < 0.0, 0.0, values))
 

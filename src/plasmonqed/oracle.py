@@ -49,6 +49,9 @@ _RESOLUTION_TOL = 1e-4
 _CLEARED_TOL = 1e-6
 _BOOKKEEPING_TOL = 1e-6
 _NORM_CEILING = 1.0 + 1e-9
+# Error below which convergence_report counts a non-decreasing step as
+# monotone: the noise floor of the error column.
+_CONVERGENCE_FLOOR = 1e-5
 # Largest difference of golden_rule_rate's two slopes relative to the rate:
 # 1e-2 for the default probe on calibrated grids, 0.6 in the quadratic onset.
 _WINDOW_TOLERANCE = 5e-2
@@ -251,7 +254,8 @@ def _propagate(
         state = ExcitationState(t, complex(y[0]), float(np.vdot(y, y).real))
         if state.norm > _NORM_CEILING:
             raise InvariantViolation(
-                "excitation-norm", f"norm {state.norm!r} at t = {t}")
+                "excitation-norm",
+                f"norm {state.norm!r} at t = {t}, limit {_NORM_CEILING!r}")
         snapshots.append(state)
 
     n = grid.n_modes
@@ -317,14 +321,17 @@ def scatter_wavepacket(
     excited = float(abs(y[0]) ** 2)
     if excited >= _CLEARED_TOL:
         raise InvariantViolation(
-            "pulse-not-cleared", f"|c_e|^2 = {excited!r} at t_final = {t_final}")
+            "pulse-not-cleared",
+            f"|c_e|^2 = {excited!r} at t_final = {t_final}, "
+            f"limit {_CLEARED_TOL:g}")
     t_sim = float(np.sum(np.abs(y[1:1 + n]) ** 2))
     r_sim = float(np.sum(np.abs(y[1 + n:]) ** 2))
     loss_sim = 1.0 - (r_sim + t_sim + excited)
     if abs(r_sim + t_sim + loss_sim - 1.0) > _BOOKKEEPING_TOL:
         raise InvariantViolation(
             "flux-bookkeeping",
-            f"R + T + loss = {r_sim + t_sim + loss_sim!r}")
+            f"R + T + loss = {r_sim + t_sim + loss_sim!r}, "
+            f"limit {_BOOKKEEPING_TOL:g}")
     return OracleResult(r_sim, t_sim, loss_sim, snapshots)
 
 
@@ -377,7 +384,6 @@ class ConvergenceReport:
     reference: tuple[float, float, float]
     results: list[OracleResult]
     monotone: bool
-    floor: float
 
 
 def convergence_report(
@@ -385,7 +391,6 @@ def convergence_report(
     pulse: PulseShape,
     t_peak: float = 25.0,
     t_final: float | None = None,
-    floor: float = 1e-5,
 ) -> ConvergenceReport:
     """Run the same pulse on successively finer grids and tabulate the error.
 
@@ -393,7 +398,8 @@ def convergence_report(
     coefficients. At fixed mode spacing the residual error is the finite
     bandwidth of the mode box, which falls off as one over the span, so a
     family of grids with n_modes (and hence span) doubling shows the error
-    halving until it reaches the stated noise floor.
+    halving until it reaches the noise floor; ``monotone`` says whether
+    each error is at most the one before it or 1e-5, whichever is larger.
     """
     from .scatter import pulse_averaged_rt
 
@@ -411,7 +417,7 @@ def convergence_report(
         rows.append((grid.n_modes, abs(outcome.r_sim - reference[0])))
         results.append(outcome)
     monotone = all(
-        later <= max(earlier, floor)
+        later <= max(earlier, _CONVERGENCE_FLOOR)
         for (_, earlier), (_, later) in zip(rows, rows[1:])
     )
-    return ConvergenceReport(rows, reference, results, monotone, floor)
+    return ConvergenceReport(rows, reference, results, monotone)

@@ -96,5 +96,6 @@ def pulse_averaged_rt(
     if abs(r_bar + t_bar + k_bar - 1.0) > _AVERAGE_SUM_TOL:
         raise InvariantViolation(
             "spectral-average-normalization",
-            f"R + T + kappa = {r_bar + t_bar + k_bar!r}")
+            f"R + T + kappa = {r_bar + t_bar + k_bar!r}, "
+            f"limit {_AVERAGE_SUM_TOL:g}")
     return r_bar, t_bar, k_bar

@@ -565,7 +565,7 @@ def store_photon(
         raise InvariantViolation(
             "storage-probability-bookkeeping",
             f"eff + leak + loss = {efficiency + leakage + loss!r}, "
-            f"input norm = {budget!r}")
+            f"input norm = {budget!r}, limit {_BOOKKEEPING_TOL:g}")
     amplitudes = (TimeSeries(samples.t0, samples.dt, c_e),
                   TimeSeries(samples.t0, samples.dt, c_s))
     return StorageResult(efficiency, leakage, loss, amplitudes)

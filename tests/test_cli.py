@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -141,6 +142,20 @@ class TestG2:
         assert [last[f"analytic_P{p}"] for p in ("0.6", "1", "1.5", "2")] \
             == [1.0] * 4
 
+    def test_overflowing_analytic_column_exits_3(self, capsys):
+        assert main(["g2", "--set", "purcell=1,1e100",
+                     "--set", "n_times=5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("invariant violated: dataset-non-finite: "
+                                "analytic_P1e+100 = inf at t = 0\n")
+
+    def test_repeated_column_label_exits_2(self, capsys):
+        assert main(["g2", "--set", "purcell=2,2.0000001",
+                     "--set", "n_times=5"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: purcell: values 2, 2 repeat a column label\n")
+
     def test_infinite_purcell_needs_reflected_branch(self, capsys):
         assert main(["g2", "--set", "purcell=inf"]) == 2
         assert "config error: purcell" in capsys.readouterr().err
@@ -231,6 +246,7 @@ class TestOracle:
         assert proc.returncode == 3
         assert b"invariant violated" in proc.stderr
         assert b"pulse-not-cleared" in proc.stderr
+        assert proc.stderr.endswith(b", limit 1e-06\n")
 
 
 class TestStorage:
@@ -408,12 +424,40 @@ class TestPlumbing:
 
     def test_non_finite_row_writes_nothing(self, tmp_path):
         out = tmp_path / "table.dat"
-        rows = [(0.5, 1.0, 2.0), (0.75, 1.0, math.inf)]
+        table = {"x": [0.5, 0.75], "a": [1.0, 1.0], "b": [2.0, math.inf]}
         with pytest.raises(InvariantViolation) as exc:
-            _write_dataset(str(out), "test", {}, 0, ["x", "a", "b"], rows)
+            _write_dataset(str(out), "test", {}, 0, table, ())
         assert exc.value.invariant == "dataset-non-finite"
         assert str(exc.value) == "dataset-non-finite: b = inf at x = 0.75"
         assert not out.exists()
+
+    def test_first_non_finite_cell_in_row_order_is_named(self):
+        table = {"x": [0.0, 1.0], "a": [1.0, math.nan], "b": [-math.inf, 2.0]}
+        with pytest.raises(InvariantViolation) as exc:
+            _write_dataset(None, "test", {}, 0, table, ())
+        assert str(exc.value) == "dataset-non-finite: b = -inf at x = 0"
+
+    def test_unequal_columns_write_nothing(self, tmp_path):
+        out = tmp_path / "table.dat"
+        table = {"x": [0.5, 0.75], "a": [1.0], "b": [math.inf, 2.0]}
+        with pytest.raises(InvariantViolation) as exc:
+            _write_dataset(str(out), "test", {}, 0, table, ())
+        assert exc.value.invariant == "dataset-column-count"
+        assert not out.exists()
+
+    def test_cells_keep_their_text_form(self, capsys):
+        """Integers up to 2**53 and bools print as integers, floats with 17
+        significant digits, signed zero and subnormals included."""
+        table = {"n": [0, 20000, 2**53], "flag": [True, False, np.True_],
+                 "x": [-0.0, 5e-324, 1.7976931348623157e308]}
+        _write_dataset(None, "test", {}, 0, table, ("total = 3",))
+        assert capsys.readouterr().out.splitlines()[-5:] == [
+            "# total = 3",
+            "# columns: n flag x",
+            "0 1 -0",
+            "20000 0 4.9406564584124654e-324",
+            "9007199254740992 1 1.7976931348623157e+308",
+        ]
 
     def test_zero_workers_exits_2(self):
         for args in (("g2", "--set", "purcell=1,2", "--set", "n_times=5"),

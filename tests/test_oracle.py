@@ -131,7 +131,8 @@ class TestChebyshevPropagator:
         with pytest.raises(InvariantViolation) as exc:
             _propagate(grid, y0 * math.sqrt(scale), t, gain)
         assert exc.value.invariant == "excitation-norm"
-        assert str(exc.value).endswith(f"at t = {snapshots[3].time}")
+        assert str(exc.value).endswith(
+            f"at t = {snapshots[3].time}, limit {_NORM_CEILING!r}")
 
     def test_antisymmetric_state_never_meets_the_emitter(self):
         """right = -left is odd: the emitter stays empty, the modes only turn.
