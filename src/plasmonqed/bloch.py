@@ -275,9 +275,18 @@ def validate_density_matrix(
 ) -> None:
     """Raise InvariantViolation unless rho is a valid density matrix."""
     rho = np.asarray(rho, dtype=complex)
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
-        raise InvariantViolation("density-matrix-hermiticity")
-    if abs(np.trace(rho) - 1.0) > trace_tol:
-        raise InvariantViolation("density-matrix-trace")
-    if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0] < eig_floor:
-        raise InvariantViolation("density-matrix-positivity")
+    skew = float(np.max(np.abs(rho - rho.conj().T)))
+    if skew > herm_tol:
+        raise InvariantViolation(
+            "density-matrix-hermiticity",
+            f"max|rho - rho^+| = {skew!r}, limit {herm_tol:g}")
+    trace_error = float(abs(np.trace(rho) - 1.0))
+    if trace_error > trace_tol:
+        raise InvariantViolation(
+            "density-matrix-trace",
+            f"|Tr rho - 1| = {trace_error!r}, limit {trace_tol:g}")
+    lowest = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+    if lowest < eig_floor:
+        raise InvariantViolation(
+            "density-matrix-positivity",
+            f"lowest eigenvalue {lowest!r}, limit {eig_floor:g}")

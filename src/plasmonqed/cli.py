@@ -216,9 +216,12 @@ def _write_dataset(out_path, command, config, seed, table, summary):
     text = "\n".join(lines) + "\n"
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
 def cmd_scatter(config, seed):
@@ -227,11 +230,9 @@ def cmd_scatter(config, seed):
     if not np.all(np.isfinite(deltas)):
         raise ConfigError("delta: detunings must be finite")
     params = params_from_purcell(purcell)
-    points = scatter_spectrum(params, deltas)
-    values = np.fromiter(
-        ((p.delta, p.reflectance, p.transmittance, p.loss) for p in points),
-        np.dtype((float, 4)), len(points))
-    return dict(zip(["delta", "R", "T", "kappa"], values.T)), ()
+    spectrum = scatter_spectrum(params, deltas)
+    return {"delta": spectrum.delta, "R": spectrum.reflectance,
+            "T": spectrum.transmittance, "kappa": spectrum.loss}, ()
 
 
 def cmd_saturation(config, seed):
@@ -348,12 +349,13 @@ def _three_level_from(purcell: float, gamma_es: float):
     # its dataclasses takes about 8 ms, which the others need not pay.
     from .storage import ThreeLevelParams
 
-    gamma_pl = purcell / (1.0 + purcell)
-    other = 1.0 / (1.0 + purcell)
+    rates = params_from_purcell(purcell)
+    other = rates.gamma_prime
     if gamma_es < 0 or gamma_es > other + 1e-12:
         raise ConfigError(
             f"gamma_es: must lie in [0, {other:.6g}] for purcell={purcell:g}")
-    return ThreeLevelParams(gamma_pl, max(0.0, other - gamma_es), gamma_es)
+    return ThreeLevelParams(rates.gamma_pl, max(0.0, other - gamma_es),
+                            gamma_es)
 
 
 def cmd_storage(config, seed):

@@ -7,8 +7,9 @@ the quantum regression theorem,
 
 with a the scaled transmitted or reflected field operator. Detecting a photon
 projects the emitter onto the conditional state a rho_ss a^+ (normalized).
-g2 is one spectral expression over all delays (bloch.PropagatorFamily.matrix),
-except at the exceptional point omega_c = Gamma/8, which falls back to _expm.
+g2 is one spectral expression over the caller's delays, as given and at any
+spacing (bloch.PropagatorFamily.matrix), except at the exceptional point
+omega_c = Gamma/8, which falls back to _expm.
 
 The reflected field is proportional to sigma_ge, so its g2 is that of
 resonance fluorescence at every drive (Kimble & Mandel, Phys. Rev. A 13,
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch
-from .core import EmitterParams, InvariantViolation, TimeSeries
+from .core import EmitterParams, InvariantViolation
 
 __all__ = [
     "G2Curve",
@@ -58,16 +59,16 @@ _SPECTRAL_ERROR_LIMIT = 1e-3
 
 @dataclass(frozen=True)
 class G2Curve:
-    """Normalized correlation samples on a uniform time grid."""
+    """Normalized correlation samples at an array of delays."""
 
-    times: TimeSeries
+    times: np.ndarray
     values: np.ndarray
     branch: str
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         if values.shape != (len(self.times),):
-            raise ValueError("values must match the time grid length")
+            raise ValueError("values must match the number of delays")
         if not np.all(np.isfinite(values)):
             raise InvariantViolation(
                 "g2-non-finite",
@@ -80,10 +81,6 @@ class G2Curve:
         # tiny negative round-off at exact zeros is reported as 0
         object.__setattr__(self, "values", np.where(values < 0.0, 0.0, values))
 
-    @property
-    def grid(self) -> np.ndarray:
-        return self.times.grid
-
 
 @dataclass(frozen=True)
 class JumpState:
@@ -92,20 +89,6 @@ class JumpState:
     rho_jump: np.ndarray
     branch: str
     amplitude_ratio: complex
-
-
-def _uniform_times(times) -> TimeSeries:
-    if isinstance(times, TimeSeries):
-        return times
-    t = np.asarray(times, dtype=float)
-    if t.ndim != 1 or t.size == 0:
-        raise ValueError("times must be a non-empty 1-D grid")
-    if t.size == 1:
-        return TimeSeries(float(t[0]), 1.0, t * 0.0)
-    steps = np.diff(t)
-    if not np.allclose(steps, steps[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("times must be uniformly spaced")
-    return TimeSeries(float(t[0]), float(steps[0]), t * 0.0)
 
 
 def _post_click(params: EmitterParams, branch: str):
@@ -139,9 +122,11 @@ def _g2(params: EmitterParams, branch: str, times) -> np.ndarray:
 
 
 def g2(params: EmitterParams, branch: str, times) -> G2Curve:
-    """Stationary normalized g2 on a uniform grid of delays."""
-    grid = _uniform_times(times)
-    return G2Curve(grid, _g2(params, branch, grid.grid), branch)
+    """Stationary normalized g2 at each of the given delays, at any spacing."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("times must be a non-empty 1-D array of delays")
+    return G2Curve(times, _g2(params, branch, times), branch)
 
 
 def g2_value(params: EmitterParams, branch: str, t: float) -> float:

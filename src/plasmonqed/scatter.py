@@ -4,7 +4,8 @@ The emitter acts as a saturable mirror for guided photons: on resonance a
 strongly coupled emitter reflects nearly everything, and the linewidth of the
 reflection spectrum is the total decay rate. The three probabilities
 (reflection R, transmission T, loss kappa) satisfy R + T + kappa = 1 and the
-coupling identity kappa = 2R/P.
+coupling identity kappa = 2R/P. Each closed form is one array expression:
+an array of detunings gives arrays of its shape, with no call per detuning.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ _AVERAGE_SUM_TOL = 1e-6
 
 @dataclass(frozen=True)
 class ScatterPoint:
-    """Scattering outcome for one photon detuning."""
+    """Scattering outcome at one detuning, or at each of an array of them
+    (then every field is an array of the detunings' shape)."""
 
     delta: float
     r: complex
@@ -50,23 +52,24 @@ def reflection_coefficient(params: EmitterParams, delta: float | None = None) ->
 
 
 def scatter_point(params: EmitterParams, delta: float | None = None) -> ScatterPoint:
-    """Full (r, t, R, T, kappa) at a single detuning; t = 1 + r."""
+    """Full (r, t, R, T, kappa) at a detuning or an array of them; t = 1 + r."""
     d = params.delta if delta is None else delta
     r = reflection_coefficient(params, d)
     t = 1.0 + r
     reflectance = abs(r) ** 2
     transmittance = abs(t) ** 2
     loss = 1.0 - reflectance - transmittance
-    return ScatterPoint(float(d), r, t, reflectance, transmittance, loss)
+    return ScatterPoint(d, r, t, reflectance, transmittance, loss)
 
 
 def scatter_spectrum(
     params: EmitterParams, deltas: Sequence[float]
-) -> list[ScatterPoint]:
+) -> ScatterPoint:
+    """One ScatterPoint of arrays over a non-empty array of detunings."""
     deltas = np.asarray(deltas, dtype=float)
     if deltas.size == 0:
         raise ValueError("deltas must be non-empty")
-    return [scatter_point(params, d) for d in deltas]
+    return scatter_point(params, deltas)
 
 
 def pulse_averaged_rt(
@@ -87,12 +90,10 @@ def pulse_averaged_rt(
         raise ValueError("spectrum must be unit-normalized in frequency")
     samples = spectrum.samples
     weights = np.abs(samples.values) ** 2 * samples.dt
-    r = reflection_coefficient(params, samples.grid)
-    refl = np.abs(r) ** 2
-    trans = np.abs(1.0 + r) ** 2
-    r_bar = float(weights @ refl)
-    t_bar = float(weights @ trans)
-    k_bar = float(weights @ (1.0 - refl - trans))
+    point = scatter_point(params, samples.grid)
+    r_bar = float(weights @ point.reflectance)
+    t_bar = float(weights @ point.transmittance)
+    k_bar = float(weights @ point.loss)
     if abs(r_bar + t_bar + k_bar - 1.0) > _AVERAGE_SUM_TOL:
         raise InvariantViolation(
             "spectral-average-normalization",

@@ -63,13 +63,13 @@ def test_criterion_1_lossless_identity():
 
 def test_criterion_2_resonant_sweep():
     params = params_from_purcell(20.0)
-    points = scatter_spectrum(params, np.linspace(-5.0, 5.0, 201))
-    resonant = points[100]
-    assert resonant.delta == 0.0
+    spectrum = scatter_spectrum(params, np.linspace(-5.0, 5.0, 201))
+    assert spectrum.delta[100] == 0.0
     targets = (0.907029, 0.0022676, 0.0907029)
-    measured = (resonant.reflectance, resonant.transmittance, resonant.loss)
+    measured = (spectrum.reflectance[100], spectrum.transmittance[100],
+                spectrum.loss[100])
     worst = max(abs(m - t) for m, t in zip(measured, targets))
-    r_half = resonant.reflectance / 2.0
+    r_half = measured[0] / 2.0
     half_width = brentq(
         lambda d: scatter_point(params, d).reflectance - r_half,
         0.2, 0.9, xtol=1e-12)

@@ -1,0 +1,31 @@
+"""Every public name resolves, and the CLI binds the layer functions that
+the benchmark's tracer wraps under the CLI's own names (a name it cannot
+find is not traced, and its span silently reads 0)."""
+
+import importlib
+
+import pytest
+
+from plasmonqed import bloch, cli, correlations, scatter
+
+MODULES = ["core", "scatter", "bloch", "correlations", "oracle", "storage",
+           "cli"]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"plasmonqed.{name}")
+    missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("layer, attr", [
+    (scatter, "scatter_spectrum"),
+    (correlations, "g2"),
+    (correlations, "jump_state"),
+    (bloch, "steady_state"),
+    (bloch, "field_observables"),
+])
+def test_cli_binds_the_traced_layer_function(layer, attr):
+    assert attr in layer.__all__
+    assert getattr(cli, attr) is getattr(layer, attr)

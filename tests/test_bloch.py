@@ -296,14 +296,22 @@ class TestValidateDensityMatrix:
         with pytest.raises(InvariantViolation) as exc:
             validate_density_matrix(rho)
         assert exc.value.invariant == "density-matrix-hermiticity"
+        assert str(exc.value) == (
+            "density-matrix-hermiticity: max|rho - rho^+| = "
+            "0.19999999999999998, limit 1e-12")
 
     def test_rejects_wrong_trace(self):
         with pytest.raises(InvariantViolation) as exc:
             validate_density_matrix(np.diag([0.5, 0.4]))
         assert exc.value.invariant == "density-matrix-trace"
+        assert str(exc.value) == (
+            "density-matrix-trace: |Tr rho - 1| = 0.09999999999999998, "
+            "limit 1e-12")
 
     def test_rejects_negative_eigenvalue(self):
         rho = np.array([[1.2, 0.0], [0.0, -0.2]], dtype=complex)
         with pytest.raises(InvariantViolation) as exc:
             validate_density_matrix(rho)
         assert exc.value.invariant == "density-matrix-positivity"
+        assert str(exc.value) == (
+            "density-matrix-positivity: lowest eigenvalue -0.2, limit -1e-10")

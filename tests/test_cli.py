@@ -337,6 +337,14 @@ class TestPlumbing:
                 check=True)
         assert out.read_bytes() == streamed.stdout
 
+    def test_unwritable_out_exits_2(self, tmp_path):
+        out = tmp_path / "no-such-dir" / "spectrum.dat"
+        proc = run_cli("scatter", "--set", "delta=-1:1:5", "--out", str(out))
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.decode() == (
+            f"config error: cannot write {out}: No such file or directory\n")
+
     def test_config_file_round_trip(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("purcell = 5  # trailing comment\ndelta = -1:1:5\n")

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from plasmonqed.bloch import propagate, steady_state
-from plasmonqed.core import InvariantViolation, TimeSeries, params_from_purcell
+from plasmonqed.core import InvariantViolation, params_from_purcell
 from plasmonqed.correlations import (
     G2Curve,
     antibunching_time,
@@ -78,7 +78,7 @@ class TestWeakFieldLimit:
     def test_value_is_the_curve_at_that_delay(self, branch):
         p = params_from_purcell(20.0, omega_c=0.01)
         curve = g2(p, branch, np.linspace(0.0, 10.0, 401))
-        for t, value in zip(curve.grid, curve.values):
+        for t, value in zip(curve.times, curve.values):
             assert abs(g2_value(p, branch, t) - value) <= 1e-15, t
 
     def test_long_delay_decorrelates(self):
@@ -243,20 +243,25 @@ class TestCurveValidation:
             g2(params_from_purcell(20.0), "transmitted", TIMES)
 
     def test_rejects_negative_values(self):
-        grid = TimeSeries(0.0, 1.0, np.zeros(3))
+        times = np.array([0.0, 1.0, 2.0])
         with pytest.raises(InvariantViolation) as exc:
-            G2Curve(grid, np.array([0.1, -1e-6, 0.2]), "transmitted")
+            G2Curve(times, np.array([0.1, -1e-6, 0.2]), "transmitted")
         assert exc.value.invariant == "g2-negativity"
 
     def test_clips_rounding_noise_to_zero(self):
-        grid = TimeSeries(0.0, 1.0, np.zeros(3))
-        curve = G2Curve(grid, np.array([0.1, -1e-12, 0.2]), "transmitted")
+        times = np.array([0.0, 1.0, 2.0])
+        curve = G2Curve(times, np.array([0.1, -1e-12, 0.2]), "transmitted")
         assert curve.values[1] == 0.0
 
-    def test_rejects_nonuniform_times(self):
+    def test_nonuniform_times_match_g2_value(self):
+        """g2 is evaluated at exactly the given delays, at any spacing."""
         p = params_from_purcell(20.0, omega_c=0.3)
-        with pytest.raises(ValueError, match="uniform"):
-            g2(p, "transmitted", np.array([0.0, 0.1, 0.3]))
+        times = np.array([0.0, 0.1, 0.3, 2.0, 2.05, 7.5])
+        curve = g2(p, "transmitted", times)
+        np.testing.assert_array_equal(curve.times, times)
+        expected = [g2_value(p, "transmitted", t) for t in times]
+        np.testing.assert_allclose(curve.values, expected, rtol=0.0,
+                                   atol=1e-15)
 
     def test_rejects_negative_times(self):
         p = params_from_purcell(20.0, omega_c=0.3)

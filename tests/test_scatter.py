@@ -81,8 +81,26 @@ def test_reflection_coefficient_uses_params_delta():
 
 def test_scatter_spectrum_orders_points():
     deltas = np.linspace(-2.0, 2.0, 41)
-    points = scatter_spectrum(P20, deltas)
-    assert [pt.delta for pt in points] == pytest.approx(list(deltas))
+    spectrum = scatter_spectrum(P20, deltas)
+    assert list(spectrum.delta) == pytest.approx(list(deltas))
+
+
+@given(st.one_of(st.sampled_from([0.0, math.inf]), st.floats(1e-3, 1e4)),
+       st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
+def test_scatter_spectrum_is_scatter_point_on_the_array(purcell, deltas):
+    """One array expression: the sum rule and kappa = 2R/P hold at every
+    detuning, and each element is scatter_point at that scalar detuning."""
+    spectrum = scatter_spectrum(params_from_purcell(purcell), deltas)
+    total = spectrum.reflectance + spectrum.transmittance + spectrum.loss
+    assert np.max(np.abs(total - 1.0)) <= 1e-15
+    coupling = 2.0 * spectrum.reflectance / purcell if purcell > 0 else 0.0
+    assert np.max(np.abs(spectrum.loss - coupling)) <= 1e-12
+    for i, delta in enumerate(deltas):
+        pt = scatter_point(params_from_purcell(purcell), delta)
+        assert spectrum.delta[i] == delta
+        for field in ("r", "t", "reflectance", "transmittance", "loss"):
+            got = getattr(spectrum, field)[i]
+            assert abs(got - getattr(pt, field)) <= 1e-15, field
 
 
 def test_scatter_spectrum_rejects_empty():
