@@ -32,16 +32,11 @@ __all__ = [
     "SIGMA_GE",
     "SIGMA_EG",
     "SIGMA_EE",
-    "GROUND",
-    "EXCITED",
     "FieldObservables",
-    "Propagator",
     "PropagatorFamily",
     "liouvillian",
     "hamiltonian",
     "steady_state",
-    "propagator",
-    "propagate",
     "field_operator",
     "field_observables",
     "saturation_closed_form",
@@ -49,8 +44,6 @@ __all__ = [
 ]
 
 # Basis ordering: index 0 = |g>, index 1 = |e>.
-GROUND = np.array([1.0, 0.0], dtype=complex)
-EXCITED = np.array([0.0, 1.0], dtype=complex)
 SIGMA_GE = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
 SIGMA_EG = SIGMA_GE.conj().T
 SIGMA_EE = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -61,6 +54,11 @@ _EIG_COND_LIMIT = 1e8
 # truncation error is below 0.5^13/13! e^0.5 = 3e-14
 _TAYLOR_DEGREE = 12
 _TAYLOR_RADIUS = 0.5
+# limits of validate_density_matrix: |rho - rho^+|, |Tr rho - 1| and the
+# lowest eigenvalue
+_HERM_TOL = 1e-12
+_TRACE_TOL = 1e-12
+_EIG_FLOOR = -1e-10
 
 
 def hamiltonian(params: EmitterParams) -> np.ndarray:
@@ -85,32 +83,6 @@ def liouvillian(params: EmitterParams) -> np.ndarray:
     return lv
 
 
-@dataclass(frozen=True)
-class Propagator:
-    """exp(L t) over vectorized density matrices."""
-
-    matrix: np.ndarray
-    duration: float
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return (self.matrix @ np.asarray(rho, dtype=complex).reshape(4)).reshape(2, 2)
-
-    def trace_defect(self) -> float:
-        """Worst-case trace change over normalized inputs.
-
-        The trace functional in vec form is the row (1, 0, 0, 1); a trace
-        preserving map leaves it invariant under right action.
-        """
-        tr = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)
-        return float(np.max(np.abs(tr @ self.matrix - tr)))
-
-    def choi_min_eigenvalue(self) -> float:
-        """Smallest eigenvalue of the Choi matrix (>= 0 for a CP map)."""
-        choi = self.matrix.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-        choi = 0.5 * (choi + choi.conj().T)
-        return float(np.linalg.eigvalsh(choi)[0])
-
-
 class PropagatorFamily:
     """Evaluates exp(L t) at one t, or at an array of them in one broadcast,
     from one spectral decomposition. Near exceptional points, where the
@@ -119,7 +91,6 @@ class PropagatorFamily:
     """
 
     def __init__(self, params: EmitterParams):
-        self.params = params
         self.generator = liouvillian(params)
         w, v = np.linalg.eig(self.generator)
         self.eigenvalues = w
@@ -134,16 +105,13 @@ class PropagatorFamily:
     def matrix(self, t) -> np.ndarray:
         """exp(L t), stacked over the shape of t."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < 0):
-            raise ValueError("propagation time must be >= 0")
+        if not np.all(np.isfinite(t) & (t >= 0)):
+            raise ValueError("propagation time must be >= 0 and finite")
         if self.diagonalizable:
             phases = np.exp(t[..., None, None] * self.eigenvalues)
             return (self._vectors * phases) @ self._inverse
         stack = [_expm(self.generator * s) for s in t.flat]
         return np.reshape(stack, t.shape + (4, 4))
-
-    def propagator(self, t: float) -> Propagator:
-        return Propagator(self.matrix(t), float(t))
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -161,18 +129,6 @@ def _expm(a: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         result = result @ result
     return result
-
-
-def propagator(params: EmitterParams, t: float) -> Propagator:
-    return PropagatorFamily(params).propagator(t)
-
-
-def propagate(params: EmitterParams, rho0: np.ndarray, t: float) -> np.ndarray:
-    """Evolve rho0 for a time t (units 1/Gamma)."""
-    rho0 = np.asarray(rho0, dtype=complex)
-    if rho0.shape != (2, 2):
-        raise ValueError("rho0 must be a 2x2 matrix")
-    return propagator(params, t).apply(rho0)
 
 
 def steady_state(params: EmitterParams) -> np.ndarray:
@@ -267,26 +223,21 @@ def saturation_closed_form(purcell: float, omega_over_gamma: float) -> tuple[flo
     return t, r
 
 
-def validate_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    eig_floor: float = -1e-10,
-) -> None:
+def validate_density_matrix(rho: np.ndarray) -> None:
     """Raise InvariantViolation unless rho is a valid density matrix."""
     rho = np.asarray(rho, dtype=complex)
     skew = float(np.max(np.abs(rho - rho.conj().T)))
-    if skew > herm_tol:
+    if skew > _HERM_TOL:
         raise InvariantViolation(
             "density-matrix-hermiticity",
-            f"max|rho - rho^+| = {skew!r}, limit {herm_tol:g}")
+            f"max|rho - rho^+| = {skew!r}, limit {_HERM_TOL:g}")
     trace_error = float(abs(np.trace(rho) - 1.0))
-    if trace_error > trace_tol:
+    if trace_error > _TRACE_TOL:
         raise InvariantViolation(
             "density-matrix-trace",
-            f"|Tr rho - 1| = {trace_error!r}, limit {trace_tol:g}")
+            f"|Tr rho - 1| = {trace_error!r}, limit {_TRACE_TOL:g}")
     lowest = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    if lowest < eig_floor:
+    if lowest < _EIG_FLOOR:
         raise InvariantViolation(
             "density-matrix-positivity",
-            f"lowest eigenvalue {lowest!r}, limit {eig_floor:g}")
+            f"lowest eigenvalue {lowest!r}, limit {_EIG_FLOOR:g}")

@@ -16,7 +16,9 @@ Generation starts in |s> with no drive (E = 0); storage starts in |g> and
 is driven by the incoming photon. Both integrate this one system, by a
 4th-order Magnus step per sample interval; the control that emits a given
 pulse comes from inverting it in closed form on the same samples. Both run
-on numpy alone.
+on numpy alone. The derivative, the running integral and the spline on the
+samples all continue them past each end by the cubic through their 4
+outermost values, so every path needs at least 4 samples.
 
 Storage with the time reverse of a generation control and pulse is impedance
 matched: a unit photon is stored with probability gamma_pl/Gamma, which is
@@ -66,20 +68,15 @@ _FEASIBILITY_MARGIN = 1e-4
 # 8.1e-3 (P = 20, delta = 0.5, duration 10)
 _MAX_PHASE_STEP = 2.0
 
-# One-sided 5-point first-derivative stencils (times 12 h) at the first two
-# samples; the last two use them mirrored.
-_END_DERIVATIVE = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
-                            [-3.0, -10.0, 18.0, -6.0, 1.0]])
-
 # Cubic-spline interpolation on the uniform grid: the B-spline coefficients
 # are the samples filtered by sqrt(3) z^|k|, z = sqrt(3) - 2, whose taps fall
-# below 1e-16 beyond |k| = 28. The samples are extended past each end by the
-# cubic through their 4 outermost values, which puts the spline within a few
-# 1e-9 of the not-a-knot one.
+# below 1e-16 beyond |k| = 28, which puts the spline within a few 1e-9 of the
+# not-a-knot one.
 _SPLINE_TAPS = 28
 _PREFILTER = math.sqrt(3.0) * (math.sqrt(3.0) - 2.0) ** np.abs(
     np.arange(-_SPLINE_TAPS, _SPLINE_TAPS + 1))
-# Lagrange weights of samples 0..3 at the 30 points before the first
+# Lagrange weights of samples 0..3 at the 30 points before the first, the
+# rows of the cubic end extension (_extend)
 _END_CUBIC = np.array([
     [math.prod((x - m) / (j - m) for m in range(4) if m != j)
      for j in range(4)]
@@ -124,6 +121,8 @@ class ThreeLevelParams:
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if not math.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, got {self.delta!r}")
         if self.gamma_total <= 0.0:
             raise ValueError("total decay rate must be positive")
 
@@ -199,42 +198,37 @@ def _check_grid(series: TimeSeries, grid) -> None:
         raise ValueError("pulse and control must share one time grid")
 
 
-def _require_samples(values: np.ndarray, needed: int) -> None:
-    if len(values) < needed:
+def _extend(values: np.ndarray, count: int) -> np.ndarray:
+    """The samples continued ``count`` points past each end by the cubic
+    through their 4 outermost values. Fewer than 4 samples are rejected."""
+    if len(values) < 4:
         raise ValueError(
-            f"{len(values)} samples are too few for the 4th-order stencils, "
-            f"which need at least {needed}")
+            f"{len(values)} samples are too few for the cubic end "
+            f"extension, which needs at least 4")
+    weights = _END_CUBIC[-count:]
+    return np.concatenate([weights @ values[:4], values,
+                           (weights @ values[:-5:-1])[::-1]])
 
 
 def _derivative(values: np.ndarray, dt: float) -> np.ndarray:
-    """First derivative at every sample, to 4th order in dt.
-
-    Central differences inside, one-sided 5-point stencils at the two ends.
-    """
-    _require_samples(values, 5)
-    slope = np.empty_like(values)
-    slope[2:-2] = values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] \
-        - values[4:]
-    slope[:2] = _END_DERIVATIVE @ values[:5]
-    slope[-2:] = -(_END_DERIVATIVE @ values[:-6:-1])[::-1]
-    return slope / (12.0 * dt)
+    """First derivative at every sample: the central 4th-order stencil on
+    the samples extended by 2, so the cubic end extension's derivative at
+    the two samples next to each end."""
+    ext = _extend(values, 2)
+    return (ext[:-4] - 8.0 * ext[1:-3] + 8.0 * ext[3:-1] - ext[4:]) \
+        / (12.0 * dt)
 
 
 def _cumulative(values: np.ndarray, dt: float) -> np.ndarray:
     """Integral from the first sample to each sample, to 4th order in dt.
 
-    Each interval takes dt/24 (-f[i-1] + 13 f[i] + 13 f[i+1] - f[i+2]); the
-    two end intervals use the 4-point rule dt/24 (9, 19, -5, 1) from their
-    own end.
+    Each interval takes dt/24 (-f[i-1] + 13 f[i] + 13 f[i+1] - f[i+2]) on
+    the samples extended by 1; at the ends that is the 4-point rule
+    dt/24 (9, 19, -5, 1), since the extension is f[-1] = 4 f[0] - 6 f[1]
+    + 4 f[2] - f[3].
     """
-    _require_samples(values, 4)
-    steps = np.empty(len(values) - 1, dtype=values.dtype)
-    steps[1:-1] = 13.0 * (values[1:-2] + values[2:-1]) \
-        - (values[:-3] + values[3:])
-    steps[0] = 9.0 * values[0] + 19.0 * values[1] - 5.0 * values[2] \
-        + values[3]
-    steps[-1] = 9.0 * values[-1] + 19.0 * values[-2] - 5.0 * values[-3] \
-        + values[-4]
+    ext = _extend(values, 1)
+    steps = 13.0 * (ext[1:-2] + ext[2:-1]) - (ext[:-3] + ext[3:])
     running = np.zeros(len(values), dtype=values.dtype)
     np.cumsum(steps * (dt / 24.0), out=running[1:])
     return running
@@ -242,9 +236,7 @@ def _cumulative(values: np.ndarray, dt: float) -> np.ndarray:
 
 def _at_gauss_nodes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Cubic spline through the samples at both Gauss nodes of each interval."""
-    _require_samples(values, 4)
-    extended = np.concatenate([_END_CUBIC @ values[:4], values,
-                               (_END_CUBIC @ values[:-5:-1])[::-1]])
+    extended = _extend(values, len(_END_CUBIC))
     # coeffs[j] is the B-spline coefficient of sample j - 2
     coeffs = np.convolve(extended, _PREFILTER, mode="valid")
     n = len(values)
@@ -482,8 +474,9 @@ def control_for_target_pulse(
     gives |c_s|^2 = 1 - |c_e|^2 - Gamma int |c_e|^2, and the c_s equation
     gives its phase phi = -int Im(conj(N) c_e)/|c_s|^2, both integrals being
     running sums of a 4th-order cumulative rule on the samples. Then
-    Omega = N/(i |c_s| e^{i phi}). A target of fewer than 5 samples is
-    rejected.
+    Omega = N/(i |c_s| e^{i phi}). Every rule continues the samples past
+    each end by the cubic through the 4 outermost ones, so a target of fewer
+    than 4 samples is rejected.
 
     Division is guarded at |c_s| <= 1e-6: from the first sample where the
     guard holds the control is zero, and if more than 1e-5 of the target is

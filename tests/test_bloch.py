@@ -6,8 +6,6 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from plasmonqed.bloch import (
-    EXCITED,
-    GROUND,
     PropagatorFamily,
     SIGMA_EG,
     SIGMA_GE,
@@ -15,8 +13,6 @@ from plasmonqed.bloch import (
     field_operator,
     hamiltonian,
     liouvillian,
-    propagate,
-    propagator,
     saturation_closed_form,
     steady_state,
     validate_density_matrix,
@@ -42,6 +38,25 @@ def lindblad_rhs(params, rho):
     return (-1j * (h @ rho - rho @ h)
             + g * (SIGMA_GE @ rho @ SIGMA_EG
                    - 0.5 * (cdc @ rho + rho @ cdc)))
+
+
+def trace_defects(stack):
+    """Worst-case trace change of each map exp(L t) over normalized inputs.
+
+    The trace functional in vec form is the row (1, 0, 0, 1); a trace
+    preserving map leaves it invariant under right action.
+    """
+    trace_row = np.array([1.0, 0.0, 0.0, 1.0])
+    return np.max(np.abs(trace_row @ stack - trace_row), axis=-1)
+
+
+def choi_min_eigenvalues(stack):
+    """Smallest eigenvalue of each map's Choi matrix (>= 0 for a CP map)."""
+    lead = stack.shape[:-2]
+    choi = stack.reshape(lead + (2, 2, 2, 2)).swapaxes(-3, -2) \
+        .reshape(lead + (4, 4))
+    choi = 0.5 * (choi + choi.conj().swapaxes(-1, -2))
+    return np.linalg.eigvalsh(choi)[..., 0]
 
 
 class TestSteadyState:
@@ -121,7 +136,7 @@ class TestPropagator:
         p = params_from_purcell(20.0, omega_c=0.7, delta=0.4)
         t = 2.3
         direct = scipy.linalg.expm(liouvillian(p) * t)
-        assert np.max(np.abs(propagator(p, t).matrix - direct)) < 1e-12
+        assert np.max(np.abs(PropagatorFamily(p).matrix(t) - direct)) < 1e-12
 
     def test_semigroup_property(self):
         p = params_from_purcell(20.0, omega_c=0.7, delta=0.4)
@@ -132,15 +147,15 @@ class TestPropagator:
 
     def test_relaxation_to_steady_state(self):
         p = params_from_purcell(20.0, omega_c=0.5, delta=0.2)
-        rho0 = np.outer(EXCITED, EXCITED.conj())
-        final = propagate(p, rho0, 60.0)
-        assert np.max(np.abs(final - steady_state(p))) < 1e-8
+        excited = np.diag([0.0, 1.0]).astype(complex)
+        final = PropagatorFamily(p).matrix(60.0) @ excited.reshape(4)
+        assert np.max(np.abs(final.reshape(2, 2) - steady_state(p))) < 1e-8
 
     def test_trace_and_positivity_spot_check(self):
         p = params_from_purcell(20.0, omega_c=1.0, delta=0.3)
-        prop = propagator(p, 2.7)
-        assert prop.trace_defect() < 1e-12
-        assert prop.choi_min_eigenvalue() > -1e-12
+        stack = PropagatorFamily(p).matrix(2.7)
+        assert trace_defects(stack) < 1e-12
+        assert choi_min_eigenvalues(stack) > -1e-12
 
     def test_rejects_negative_time(self):
         fam = PropagatorFamily(params_from_purcell(20.0, omega_c=1.0))
@@ -163,10 +178,17 @@ class TestPropagator:
         with pytest.raises(ValueError):
             fam.matrix(np.array([0.0, 1.0, -0.1, 2.0]))
 
-    def test_propagate_rejects_bad_shape(self):
-        p = params_from_purcell(20.0, omega_c=1.0)
-        with pytest.raises(ValueError):
-            propagate(p, np.eye(3), 1.0)
+    @pytest.mark.parametrize("omega", [1.0, 0.125])
+    @pytest.mark.parametrize("t", [math.nan, math.inf,
+                                   [0.0, 1.0, math.nan, 2.0],
+                                   [0.0, math.inf, 2.0]])
+    def test_non_finite_time_is_rejected(self, omega, t):
+        # omega = 0.125 on resonance is the exceptional point's fallback
+        fam = PropagatorFamily(params_from_purcell(20.0, omega_c=omega))
+        assert fam.diagonalizable == (omega != 0.125)
+        with pytest.raises(ValueError,
+                           match="propagation time must be >= 0"):
+            fam.matrix(t)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0.05, 100.0), st.floats(0.0, 10.0),
@@ -180,9 +202,9 @@ class TestPropagator:
         off to scaling-and-squaring.
         """
         p = params_from_purcell(purcell, omega_c=omega, delta=delta)
-        prop = propagator(p, t)
-        assert prop.trace_defect() < 1e-7
-        assert prop.choi_min_eigenvalue() > -1e-7
+        stack = PropagatorFamily(p).matrix(t)
+        assert trace_defects(stack) < 1e-7
+        assert choi_min_eigenvalues(stack) > -1e-7
 
     def test_exceptional_point_fallback(self):
         # on resonance the generator coalesces at omega = gamma/8; the
@@ -190,10 +212,9 @@ class TestPropagator:
         p = params_from_purcell(20.0, omega_c=0.125)
         fam = PropagatorFamily(p)
         assert not fam.diagonalizable
-        for t in (0.5, 4.0, 17.0):
-            prop = fam.propagator(t)
-            assert prop.trace_defect() < 1e-9
-            assert prop.choi_min_eigenvalue() > -1e-9
+        stack = fam.matrix([0.5, 4.0, 17.0])
+        assert np.all(trace_defects(stack) < 1e-9)
+        assert np.all(choi_min_eigenvalues(stack) > -1e-9)
         combined = fam.matrix(3.0)
         composed = fam.matrix(1.0) @ fam.matrix(2.0)
         assert np.max(np.abs(combined - composed)) < 1e-9
@@ -289,7 +310,7 @@ class TestSaturation:
 
 class TestValidateDensityMatrix:
     def test_accepts_pure_state(self):
-        validate_density_matrix(np.outer(GROUND, GROUND.conj()))
+        validate_density_matrix(np.diag([1.0, 0.0]).astype(complex))
 
     def test_rejects_non_hermitian(self):
         rho = np.array([[0.5, 0.1], [0.3, 0.5]], dtype=complex)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from plasmonqed.bloch import propagate, steady_state
+from plasmonqed.bloch import PropagatorFamily, steady_state
 from plasmonqed.core import InvariantViolation, params_from_purcell
 from plasmonqed.correlations import (
     G2Curve,
@@ -148,10 +148,9 @@ class TestReflectedBranch:
         curve = g2(p, "reflected", times)
         rho_ss = steady_state(p)
         ground = np.diag([1.0, 0.0]).astype(complex)
-        expected = np.array([
-            propagate(p, ground, t)[1, 1].real / rho_ss[1, 1].real
-            for t in times
-        ])
+        # rho_ee is vec index 3
+        evolved = PropagatorFamily(p).matrix(times) @ ground.reshape(4)
+        expected = evolved[:, 3].real / rho_ss[1, 1].real
         assert np.max(np.abs(curve.values - expected)) < 1e-12
 
 
@@ -267,3 +266,14 @@ class TestCurveValidation:
         p = params_from_purcell(20.0, omega_c=0.3)
         with pytest.raises(ValueError):
             g2(p, "transmitted", np.array([-1.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("omega", [0.3, 0.125])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_times(self, omega, bad):
+        # the input is at fault, not the g2 postcondition; omega = 0.125 is
+        # the exceptional point's fallback
+        p = params_from_purcell(20.0, omega_c=omega)
+        with pytest.raises(ValueError, match="propagation time must be >= 0"):
+            g2_value(p, "reflected", bad)
+        with pytest.raises(ValueError, match="propagation time must be >= 0"):
+            g2(p, "reflected", np.array([0.0, bad]))

@@ -31,6 +31,8 @@ from plasmonqed.storage import (
     transistor_gain,
     _BLOCK,
     _affine_exp,
+    _cumulative,
+    _derivative,
     _evolve,
     _scan_states,
     _taylor_degree,
@@ -122,6 +124,12 @@ class TestThreeLevelParams:
             ThreeLevelParams(0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             ThreeLevelParams(math.nan, 0.5, 0.5)
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_detuning(self, delta):
+        with pytest.raises(ValueError,
+                           match=re.escape(f"delta must be finite, got {delta!r}")):
+            ThreeLevelParams(20.0 / 21.0, 1.0 / 21.0, 0.0, delta=delta)
 
     def test_two_level_view(self):
         two = PARAMS.as_two_level(omega_c=0.3)
@@ -382,16 +390,21 @@ class TestControlInversion:
         assert l2 < 1e-3
 
     def test_rejects_grid_too_short_for_stencils(self):
-        target = PulseShape(TimeSeries(0.0, 0.1, np.full(4, 0.1 + 0j)),
-                            FLUX_NORM)
-        with pytest.raises(ValueError, match="too few"):
-            control_for_target_pulse(PARAMS, target)
         short = PulseShape(TimeSeries(0.0, 0.1, np.full(3, 0.1 + 0j)),
                            FLUX_NORM)
+        with pytest.raises(ValueError, match="too few"):
+            control_for_target_pulse(PARAMS, short)
         with pytest.raises(ValueError, match="too few"):
             store_photon(PARAMS, short, short)
         with pytest.raises(ValueError, match="too few"):
             generate_photon(PARAMS.with_control(short), short.samples.grid)
+
+    def test_four_samples_invert(self):
+        target = PulseShape(TimeSeries(0.0, 0.1, np.full(4, 0.1 + 0j)),
+                            FLUX_NORM)
+        control = control_for_target_pulse(PARAMS, target)
+        assert len(control.samples) == 4
+        assert np.all(np.isfinite(control.samples.values))
 
     def test_rejects_decoupled_emitter(self):
         p = ThreeLevelParams(0.0, 0.5, 0.5)
@@ -440,6 +453,19 @@ class TestAgreesWithScipyReference:
                              - math.sqrt(params.gamma_pl) * c_e)) <= 1e-7
         assert efficiency == pytest.approx(out[-1].real, abs=1e-7)
 
+    @pytest.mark.parametrize("delta", [0.0, 0.5])
+    @pytest.mark.parametrize("rates", [(20.0, 1.0), (20.0, 0.3), (5.0, 0.5)])
+    def test_control_end_samples_at_1501(self, rates, delta):
+        """The two samples next to each end take the cubic end extension's
+        derivative, within 1e-8 of the spline reference's peak."""
+        params = three_level(*rates, delta)
+        matched = matched_storage(params, duration=50.0, n_samples=1501)
+        control = matched.generate_control.samples.values
+        expected = reference_control(params, matched.target)
+        ends = np.r_[0:2, -2:0]
+        assert (np.max(np.abs(control[ends] - expected[ends]))
+                <= 1e-8 * np.max(np.abs(expected)))
+
     def test_short_detuned_round_trip(self):
         """At duration 10 the control turns 1.86 rad per sample; the
         regenerated pulse may miss its target by at most 1.2 times the
@@ -460,6 +486,37 @@ class TestAgreesWithScipyReference:
         reference_missed = l2_distance(math.sqrt(params.gamma_pl) * c_e,
                                        samples.values, samples.dt)
         assert missed <= 1.2 * reference_missed
+
+
+class TestSampleRules:
+    """The derivative and running integral on the cubic end extension."""
+
+    COEFFS = (0.3 - 0.2j, -1.2 + 0.5j, 0.7, -0.25 + 0.1j)
+
+    def cubic(self, t):
+        a0, a1, a2, a3 = self.COEFFS
+        return a0 + t * (a1 + t * (a2 + t * a3))
+
+    @pytest.mark.parametrize("n", [4, 5, 9, 40])
+    def test_derivative_exact_on_cubics(self, n):
+        t, dt = np.linspace(-1.0, 2.0, n, retstep=True)
+        _, a1, a2, a3 = self.COEFFS
+        expected = a1 + t * (2.0 * a2 + t * 3.0 * a3)
+        assert np.max(np.abs(_derivative(self.cubic(t), dt) - expected)) \
+            <= 1e-12
+
+    @pytest.mark.parametrize("n", [4, 5, 9, 40])
+    def test_cumulative_exact_on_cubics(self, n):
+        t, dt = np.linspace(-1.0, 2.0, n, retstep=True)
+        a0, a1, a2, a3 = self.COEFFS
+
+        def antiderivative(x):
+            return x * (a0 + x * (a1 / 2.0 + x * (a2 / 3.0 + x * a3 / 4.0)))
+
+        expected = antiderivative(t) - antiderivative(t[0])
+        running = _cumulative(self.cubic(t), dt)
+        assert running[0] == 0.0
+        assert np.max(np.abs(running - expected)) <= 1e-12
 
 
 def random_generators(rng, norms):
