@@ -96,6 +96,16 @@ _COUNT_CAPS = {
 }
 
 
+# Pulse length of storage and transistor, in 1/Gamma. The control grows as
+# 8/duration, and its square overflows below a duration of 6.3e-154. A
+# sample step past the lifetime 1/Gamma is unresolved: there the storage
+# bookkeeping fails from steps of 2.07 (151 samples) to 58 (100000).
+_MIN_DURATION = 1e-150
+_MAX_STEP = 1.0
+# run_transistor stores its gate photon on matched_storage's default grid
+_TRANSISTOR_SAMPLES = 4001
+
+
 def _check_cap(caps: dict, key: str, value: int, unit: str = "") -> None:
     cap = caps.get(key)
     if cap is not None and value > cap:
@@ -110,6 +120,19 @@ def _parse_float(text: str, key: str) -> float:
     if math.isnan(value):
         raise ConfigError(f"{key}: expected a number, not NaN ({text!r})")
     return value
+
+
+def _parse_duration(text: str, n_samples: int) -> float:
+    duration = _parse_float(text, "duration")
+    if not _MIN_DURATION <= duration < math.inf:
+        raise ConfigError(f"duration: must be finite and >= "
+                          f"{_MIN_DURATION:g}, got {duration:g}")
+    longest = _MAX_STEP * (n_samples - 1)
+    if duration > longest:
+        raise ConfigError(
+            f"duration: at most {longest:g} over {n_samples} samples (a "
+            f"step of the lifetime 1/Gamma), got {duration:g}")
+    return duration
 
 
 def _parse_int(text: str, key: str) -> int:
@@ -363,10 +386,10 @@ def cmd_storage(config, seed):
 
     purcell = _parse_float(config["purcell"], "purcell")
     gamma_es = _parse_float(config["gamma_es"], "gamma_es")
-    duration = _parse_float(config["duration"], "duration")
     n_samples = _parse_int(config["n_samples"], "n_samples")
-    if duration <= 0 or n_samples < 16:
-        raise ConfigError("need duration > 0 and n_samples >= 16")
+    if n_samples < 16:
+        raise ConfigError("n_samples: must be >= 16")
+    duration = _parse_duration(config["duration"], n_samples)
     if not 0 < purcell < math.inf:
         raise ConfigError("purcell: must be positive and finite")
     params = _three_level_from(purcell, gamma_es)
@@ -393,7 +416,7 @@ def cmd_transistor(config, seed):
     gate = _parse_int(config["gate"], "gate")
     signals = _parse_int(config["signals"], "signals")
     trials = _parse_int(config["trials"], "trials")
-    duration = _parse_float(config["duration"], "duration")
+    duration = _parse_duration(config["duration"], _TRANSISTOR_SAMPLES)
     if not 0 < purcell < math.inf:
         raise ConfigError("purcell: must be positive and finite")
     if math.isinf(branching):
@@ -404,8 +427,8 @@ def cmd_transistor(config, seed):
             "(the pumping channel would need a negative rate)")
     if gate not in (0, 1):
         raise ConfigError("gate: must be 0 or 1")
-    if signals < 0 or trials < 1 or duration <= 0:
-        raise ConfigError("need signals >= 0, trials >= 1, duration > 0")
+    if signals < 0 or trials < 1:
+        raise ConfigError("need signals >= 0 and trials >= 1")
     params = _three_level_from(purcell, 1.0 / (1.0 + branching))
     mirror = conditional_mirror("g", params.as_two_level())
     gain = transistor_gain(params, trials, seed)

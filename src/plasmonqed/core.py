@@ -23,6 +23,10 @@ __all__ = [
     "gaussian_spectrum",
 ]
 
+# Largest Taylor degree and scaled norm of bloch._expm, storage._affine_exp
+_TAYLOR_DEGREE = 12
+_TAYLOR_RADIUS = 0.5
+
 
 class InvariantViolation(RuntimeError):
     """A numerical postcondition failed; ``invariant`` names which one."""

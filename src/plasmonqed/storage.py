@@ -34,6 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    _TAYLOR_DEGREE,
+    _TAYLOR_RADIUS,
     EmitterParams,
     FLUX_NORM,
     InvariantViolation,
@@ -84,13 +86,11 @@ _END_CUBIC = np.array([
 # the two Gauss-Legendre nodes of a sample interval, as fractions of it
 _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
-# Largest Taylor degree and scaled norm of each Magnus step's exponential,
-# and the remainder bound of phi(W) there, 0.5^12/13! e^0.5 = 6.5e-14. Each
-# call takes the smallest degree K whose bound theta^K/(K+1)! e^theta at its
+# Remainder bound of phi(W) at the largest Taylor degree and scaled norm of
+# each Magnus step's exponential, 0.5^12/13! e^0.5 = 6.5e-14. Each call
+# takes the smallest degree K whose bound theta^K/(K+1)! e^theta at its
 # scaled norm theta stays within that: storing a duration-50 pulse at 1501,
 # 4001 and 16001 samples (step norms 0.027, 0.010, 0.0025) takes 7, 6 and 5.
-_TAYLOR_DEGREE = 12
-_TAYLOR_RADIUS = 0.5
 _TAYLOR_REMAINDER = (_TAYLOR_RADIUS**_TAYLOR_DEGREE
                      / math.factorial(_TAYLOR_DEGREE + 1)
                      * math.exp(_TAYLOR_RADIUS))
@@ -274,13 +274,13 @@ def _taylor_degree(theta: float) -> int:
 def _affine_exp(generator):
     """exp of each 3x3 generator [[W, w], [0, 0]], as the map (e^W, phi(W) w).
 
-    e^W = sum W^k/k! and phi(W) = sum W^(k-1)/k! are Taylor sums in W scaled
-    by 2^-s to norm theta <= 1/2, and the map is squared s times. The degree
-    is the smallest K <= 12 that keeps the remainder theta^K/(K+1)! e^theta
-    of phi within its value at theta = 1/2 and K = 12, 6.5e-14. By
-    Cayley-Hamilton every polynomial in the 2x2 W is a I + b W, so the
-    Horner steps run on the two coefficients: I + W (a I + b W)/k is
-    (1 - b det W/k) I + (a + b tr W)/k W.
+    phi(W) = sum W^(k-1)/k! is a Taylor sum in W scaled by 2^-s to norm
+    theta <= 1/2, and the map is squared s times. The degree is the smallest
+    K <= 12 that keeps the remainder theta^K/(K+1)! e^theta of phi within
+    its value at theta = 1/2 and K = 12, 6.5e-14. By Cayley-Hamilton every
+    polynomial in the 2x2 W is c I + d W, so the Horner steps run on the two
+    coefficients: (I + W (c I + d W))/k is (1 - d det W)/k I + (c + d tr W)/k
+    W. e^W = I + W phi(W) is one more such step, with W times phi's remainder.
     """
     w00, w01, w10, w11, v0, v1 = generator
     norm = float(np.max(np.maximum(np.abs(w00) + np.abs(w01),
@@ -296,12 +296,11 @@ def _affine_exp(generator):
     degree = _taylor_degree(norm / 2.0**squarings)
     trace = w00 + w11
     det = w00 * w11 - w01 * w10
-    # e^W = a I + b W and phi(W) = c I + d W, after the Horner step k = K
-    a, b = 1.0, 1.0 / degree
+    # phi(W) = c I + d W, after the Horner step k = K
     c, d = 1.0 / degree, 0.0
     for k in range(degree - 1, 0, -1):
-        a, b = 1.0 - b * det / k, (a + b * trace) / k
-        c, d = (1.0 - d * det) / k, (c + d * trace) / k
+        c, d = (1.0 - d * det) * (1.0 / k), (c + d * trace) * (1.0 / k)
+    a, b = 1.0 - d * det, c + d * trace
     result = [a + b * w00, b * w01, b * w10, a + b * w11,
               c * v0 + d * (w00 * v0 + w01 * v1),
               c * v1 + d * (w10 * v0 + w11 * v1)]
@@ -358,11 +357,13 @@ def _evolve(params: ThreeLevelParams, control: TimeSeries,
     Omega and the drive E are taken at the interval's two Gauss nodes from a
     cubic spline through the samples, and the step is
     exp(h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1]), a Taylor sum whose degree
-    the step norm sets. The steps are built in blocks of ``_BLOCK`` = 4096
-    intervals, each with the degree and squarings of its own norm, so that
-    their temporaries come from the heap and stay in cache; up to 4097
-    samples are one block. One recursive-doubling scan over all
-    the steps carries the state (c_e, c_s) from (0, c_s0) to every sample.
+    the step norm sets. An all-zero drive (generation) is not splined; its
+    terms are the scalar 0, as its spline would be. The steps are built in
+    blocks of ``_BLOCK`` = 4096 intervals, each with the degree and
+    squarings of its own norm, so that their temporaries come from the heap
+    and stay in cache; up to 4097 samples are one block. One
+    recursive-doubling scan over all the steps carries the state (c_e, c_s)
+    from (0, c_s0) to every sample.
     lost and out are (gamma'_g + gamma_es) int |c_e|^2 and
     int |E - sqrt(gamma_pl) c_e|^2 by the cumulative rule on the samples.
     """
@@ -370,7 +371,7 @@ def _evolve(params: ThreeLevelParams, control: TimeSeries,
     decay = 1j * params.delta - params.gamma_total / 2.0
     root_pl = math.sqrt(params.gamma_pl)
     om1, om2 = _at_gauss_nodes(control.values)
-    e1, e2 = _at_gauss_nodes(root_pl * drive)
+    drive_nodes = _at_gauss_nodes(root_pl * drive) if np.any(drive) else None
     weight = math.sqrt(3.0) / 12.0 * h * h
     # a single block's maps are the steps themselves; more are gathered
     # into full-length arrays for the one scan
@@ -382,7 +383,11 @@ def _evolve(params: ThreeLevelParams, control: TimeSeries,
         # off-diagonal entries i Omega, i conj(Omega) of A at the two nodes
         a1, a2 = 1j * om1[block], 1j * om2[block]
         b1, b2 = 1j * np.conj(om1[block]), 1j * np.conj(om2[block])
-        f1, f2 = e1[block], e2[block]
+        forcing = (0.0, 0.0)
+        if drive_nodes is not None:
+            f1, f2 = (e[block] for e in drive_nodes)
+            forcing = (0.5 * h * (f1 + f2) + weight * decay * (f1 - f2),
+                       weight * (b2 * f1 - b1 * f2))
         # [A2, A1] has the diagonal (x, -x), x = a2 b1 - a1 b2
         commutator = a2 * b1 - a1 * b2
         maps = _affine_exp((
@@ -390,8 +395,7 @@ def _evolve(params: ThreeLevelParams, control: TimeSeries,
             0.5 * h * (a1 + a2) + weight * decay * (a1 - a2),
             0.5 * h * (b1 + b2) + weight * decay * (b2 - b1),
             -weight * commutator,
-            0.5 * h * (f1 + f2) + weight * decay * (f1 - f2),
-            weight * (b2 * f1 - b1 * f2),
+            *forcing,
         ))
         if steps is None:
             steps = maps

@@ -1,9 +1,11 @@
 import contextlib
 import io
 import math
+import shlex
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,6 +302,48 @@ class TestTransistor:
         assert proc.returncode == 2
         assert proc.stdout == b""
         assert proc.stderr == b"config error: " + message + b"\n"
+
+
+class TestDuration:
+    """storage and transistor take durations whose control stays finite and
+    whose sample step resolves the lifetime 1/Gamma."""
+
+    @pytest.mark.parametrize("command", ["storage", "transistor"])
+    @pytest.mark.parametrize("duration", ["inf", "nan", "1e-300", "1e6"])
+    def test_out_of_range_duration_exits_2(self, command, duration):
+        proc = run_cli(command, "--set", f"duration={duration}")
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"config error: duration: ")
+
+    @pytest.mark.parametrize("command, argv, longest", [
+        ("storage", ("--set", "n_samples=1501"), "1500"),
+        ("storage", ("--set", "n_samples=201"), "200"),
+        ("transistor", ("--set", "trials=100"), "4000"),
+    ])
+    def test_step_of_one_lifetime_is_the_longest(self, command, argv,
+                                                 longest):
+        for duration in ("1e-150", longest):
+            run_cli(command, *argv, "--set", f"duration={duration}",
+                    check=True)
+        proc = run_cli(command, *argv, "--set", f"duration={longest}.5")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
+            f"config error: duration: at most {longest} over ".encode())
+
+
+def readme_commands():
+    """The argv of every ``plasmonqed`` command line in README.md."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    return [shlex.split(line.partition("#")[0])[1:]
+            for line in readme.read_text().splitlines()
+            if line.startswith("plasmonqed ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_command_exits_0(argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    run_cli(*argv, check=True)
 
 
 class TestImports:

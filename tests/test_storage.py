@@ -576,6 +576,18 @@ class TestPropagation:
         assert np.max(np.abs(np.array(states) - expected)) <= 1e-12 * np.max(
             np.abs(expected))
 
+    @pytest.mark.parametrize("n_samples", [1501, 2 * _BLOCK + 1])
+    def test_zero_drive_matches_a_splined_drive(self, n_samples):
+        # an all-zero drive is not splined; one sample of 1e-300 is, and
+        # adds nothing at double precision
+        control = matched_pair(50.0, n_samples).generate_control.samples
+        drive = np.zeros(n_samples, dtype=complex)
+        skipped = _evolve(PARAMS, control, drive, 1.0)
+        drive[n_samples // 2] = 1e-300
+        splined = _evolve(PARAMS, control, drive, 1.0)
+        for a, b in zip(skipped, splined):
+            assert np.array_equal(a, b)
+
 
 def evolve_store_and_generate(params, matched):
     """_evolve's (c_e, c_s, lost, out) for storing and for regenerating."""
