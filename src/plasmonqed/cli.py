@@ -1,34 +1,28 @@
 """Command-line front end producing figure-ready text datasets.
 
 Every subcommand reads defaults, an optional ``key = value`` config file,
-and ``--set key=value`` overrides, then writes a delimiter-separated table
-with a commented header that echoes the resolved configuration. Output is
+and ``--set key=value`` overrides, checks every key against the domain that
+``_KEYS`` declares for it, then writes a delimiter-separated table with a
+commented header that echoes the resolved configuration. Output is
 byte-identical for identical config and seed.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical postcondition
-failure (the failing invariant name goes to stderr).
+Exit codes: 0 success, 2 configuration error naming its key, 3 numerical
+postcondition failure (the failing invariant name goes to stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
 import numpy as np
 
 from . import __version__
-from .bloch import (
-    SIGMA_GE,
-    field_observables,
-    saturation_closed_form,
-    steady_state,
-)
-from .core import (
-    InvariantViolation,
-    gaussian_spectrum,
-    params_from_purcell,
-)
+from .bloch import (SIGMA_GE, field_observables, saturation_closed_form,
+                    steady_state)
+from .core import InvariantViolation, gaussian_spectrum, params_from_purcell
 from .correlations import g2, g2_weakfield_analytic, jump_state
 from .oracle import build_grid, convergence_report
 from .scatter import scatter_spectrum
@@ -38,78 +32,6 @@ __all__ = ["main"]
 
 class ConfigError(Exception):
     """Anything wrong with flags, keys, or values."""
-
-
-_DEFAULTS = {
-    "scatter": {"purcell": "20", "delta": "-5:5:201"},
-    "saturation": {"purcell": "20", "omega": "0.001,0.01,0.1,0.3,1,3,10"},
-    "g2": {
-        "purcell": "0.6,1,1.5,2",
-        "omega": "0.01",
-        "branch": "transmitted",
-        "tmax": "10",
-        "n_times": "401",
-    },
-    "jump": {"purcell": "20", "omega": "0.001"},
-    "oracle": {
-        "purcell": "20",
-        "sigma": "0.1",
-        "n_modes": "250,500,1000,2000",
-        "spacing": "0.08",
-        "t_peak": "25",
-        "t_final": "60",
-    },
-    "storage": {
-        "purcell": "20",
-        "gamma_es": "0",
-        "duration": "50",
-        "n_samples": "1501",
-    },
-    "transistor": {
-        "purcell": "20",
-        "branching": "20",
-        "gate": "1",
-        "signals": "20",
-        "trials": "10000",
-        "duration": "50",
-    },
-}
-
-
-# Largest accepted value of each size key: far above every default, and
-# small enough that the largest run fits in memory and ends in minutes.
-_SIZE_CAPS = {
-    "n_times": 100_000,
-    "n_modes": 20_000,
-    "n_samples": 100_000,
-    "trials": 10_000_000,
-}
-
-# Largest number of values in each list key (a comma list or the n of
-# lo:hi:n). Each value costs a whole unit of the subcommand's work: a
-# detuning, a steady state, a g2 curve of n_times delays, an oracle grid.
-_COUNT_CAPS = {
-    "delta": 100_000,
-    "omega": 10_000,
-    "purcell": 10,
-    "n_modes": 10,
-}
-
-
-# Pulse length of storage and transistor, in 1/Gamma. The control grows as
-# 8/duration, and its square overflows below a duration of 6.3e-154. A
-# sample step past the lifetime 1/Gamma is unresolved: there the storage
-# bookkeeping fails from steps of 2.07 (151 samples) to 58 (100000).
-_MIN_DURATION = 1e-150
-_MAX_STEP = 1.0
-# run_transistor stores its gate photon on matched_storage's default grid
-_TRANSISTOR_SAMPLES = 4001
-
-
-def _check_cap(caps: dict, key: str, value: int, unit: str = "") -> None:
-    cap = caps.get(key)
-    if cap is not None and value > cap:
-        raise ConfigError(f"{key}: at most {cap}{unit} allowed, got {value}")
 
 
 def _parse_float(text: str, key: str) -> float:
@@ -122,57 +44,206 @@ def _parse_float(text: str, key: str) -> float:
     return value
 
 
-def _parse_duration(text: str, n_samples: int) -> float:
-    duration = _parse_float(text, "duration")
-    if not _MIN_DURATION <= duration < math.inf:
-        raise ConfigError(f"duration: must be finite and >= "
-                          f"{_MIN_DURATION:g}, got {duration:g}")
-    longest = _MAX_STEP * (n_samples - 1)
-    if duration > longest:
-        raise ConfigError(
-            f"duration: at most {longest:g} over {n_samples} samples (a "
-            f"step of the lifetime 1/Gamma), got {duration:g}")
-    return duration
-
-
 def _parse_int(text: str, key: str) -> int:
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
-    _check_cap(_SIZE_CAPS, key, value)
-    return value
+        raise ConfigError(
+            f"{key}: expected an integer, got {text!r}") from None
 
 
-def _parse_floats(text: str, key: str) -> np.ndarray:
-    """Scalar, comma list, or lo:hi:n linspace."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
+def _list_of(parse, count: int):
+    """Parser of a comma list of at most ``count`` values, or for floats of
+    the range lo:hi:n of n evenly spaced values. Each value costs a whole
+    unit of the subcommand's work: a detuning, a steady state, a g2 curve of
+    n_times delays, an oracle grid."""
+
+    def parse_list(text: str, key: str) -> np.ndarray:
+        ranged = parse is _parse_float and ":" in text
+        parts = [p for p in text.split(":" if ranged else ",") if p]
+        if ranged and len(parts) != 3:
             raise ConfigError(f"{key}: range syntax is lo:hi:n, got {text!r}")
-        lo = _parse_float(parts[0], key)
-        hi = _parse_float(parts[1], key)
-        n = _parse_int(parts[2], key)
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ConfigError(f"{key}: range bounds must be finite in {text!r}")
-        if n < 2 or hi <= lo:
-            raise ConfigError(f"{key}: need hi > lo and n >= 2 in {text!r}")
-        _check_cap(_COUNT_CAPS, key, n, " values")
-        return np.linspace(lo, hi, n)
-    return np.array(_parse_list(text, key, _parse_float))
+        n = _parse_int(parts[2], key) if ranged else len(parts)
+        if ranged:
+            lo, hi = _parse_float(parts[0], key), _parse_float(parts[1], key)
+            if n < 2 or not -math.inf < lo < hi < math.inf:
+                raise ConfigError(
+                    f"{key}: need finite lo < hi and n >= 2 in {text!r}")
+        if n > count:
+            raise ConfigError(
+                f"{key}: at most {count} values allowed, got {n}")
+        if ranged:
+            return np.linspace(lo, hi, n)
+        if not parts:
+            raise ConfigError(
+                f"{key}: expected at least one value, got {text!r}")
+        return np.array([parse(p, key) for p in parts])
+
+    return parse_list
 
 
-def _parse_ints(text: str, key: str) -> list[int]:
-    return _parse_list(text, key, _parse_int)
+# A check on a key's values: a test of an array of them, and the message
+# of the first value that fails it.
+_MAX = sys.float_info.max
+_FINITE = (np.isfinite, "must be finite")
+_POSITIVE_FINITE = (lambda v: (v > 0) & (v <= _MAX),
+                    "must be positive and finite")
 
 
-def _parse_list(text: str, key: str, parse) -> list:
-    parts = [p for p in text.split(",") if p != ""]
-    _check_cap(_COUNT_CAPS, key, len(parts), " values")
-    values = [parse(p, key) for p in parts]
-    if not values:
-        raise ConfigError(f"{key}: expected at least one value, got {text!r}")
+def _at_least(low):
+    return (lambda v: v >= low, f"must be >= {low}")
+
+
+def _at_most(cap):
+    # a size cap: far above every default, and small enough that the
+    # largest run fits in memory and ends in minutes
+    return (lambda v: v <= cap, f"at most {cap} allowed, got {{value}}")
+
+
+# The closed forms square P, and the Gaussian spectrum sigma, as Python
+# floats, which raise OverflowError from sqrt(max double) = 1.34e154 on.
+_SQUARE_MAX = math.sqrt(_MAX)
+_SQUARE = "{value!r} is too large, its square overflows double precision"
+_SQUARE_FITS = (lambda v: v <= _SQUARE_MAX, _SQUARE)
+# The saturation observables divide by the drive flux omega^2, and the
+# closed form squares the drive; the jump coherence scales as omega^3.
+_TINY = sys.float_info.min
+_DRIVE_SQUARE = (
+    (lambda v: v * v >= _TINY,
+     "{value!r} is too weak, its square underflows double precision"),
+    (lambda v: v * v <= _MAX,
+     "{value!r} is too strong, its square overflows double precision"))
+_DRIVE_CUBE = (lambda v: v * v * v >= _TINY,
+               "{value!r} is too weak, its cube underflows double precision")
+# Pulse length of storage and transistor, in 1/Gamma. The control grows as
+# 8/duration, and its square overflows below a duration of 6.3e-154.
+_MIN_DURATION = 1e-150
+_DURATION = (lambda v: (v >= _MIN_DURATION) & (v <= _MAX),
+             f"must be finite and >= {_MIN_DURATION:g}, got {{value:g}}")
+
+# Every config key of every subcommand: its default text, its parser, and
+# the checks its values must pass, in order. _check_joint holds the rules
+# that join keys.
+_KEYS = {
+    "scatter": {
+        "purcell": ("20", _parse_float, _at_least(0)),
+        "delta": ("-5:5:201", _list_of(_parse_float, 100_000), _FINITE),
+    },
+    "saturation": {
+        "purcell": ("20", _parse_float, _at_least(0),
+                    (lambda v: (v <= _SQUARE_MAX) | (v == math.inf), _SQUARE)),
+        "omega": ("0.001,0.01,0.1,0.3,1,3,10", _list_of(_parse_float, 10_000),
+                  _POSITIVE_FINITE, *_DRIVE_SQUARE),
+    },
+    "g2": {
+        "purcell": ("0.6,1,1.5,2", _list_of(_parse_float, 10), _at_least(0)),
+        "omega": ("0.01", _parse_float, _POSITIVE_FINITE),
+        "branch": ("transmitted", lambda text, key: text,
+                   (lambda v: np.isin(v, ("transmitted", "reflected")),
+                    "must be transmitted or reflected, got {value!r}")),
+        "tmax": ("10", _parse_float, _POSITIVE_FINITE),
+        "n_times": ("401", _parse_int, _at_least(2), _at_most(100_000)),
+    },
+    "jump": {
+        "purcell": ("20", _parse_float, _at_least(0),
+                    (np.isfinite, "the weak-limit columns need finite P"),
+                    _SQUARE_FITS),
+        "omega": ("0.001", _list_of(_parse_float, 10_000), _POSITIVE_FINITE,
+                  _DRIVE_CUBE),
+    },
+    "oracle": {
+        "purcell": ("20", _parse_float, _at_least(0)),
+        "sigma": ("0.1", _parse_float, (lambda v: v > 0, "must be positive"),
+                  _SQUARE_FITS),
+        "n_modes": ("250,500,1000,2000", _list_of(_parse_int, 10),
+                    _at_most(20_000)),
+        "spacing": ("0.08", _parse_float, _POSITIVE_FINITE),
+        "t_peak": ("25", _parse_float, _FINITE),
+        "t_final": ("60", _parse_float, _FINITE),
+    },
+    "storage": {
+        "purcell": ("20", _parse_float, _POSITIVE_FINITE),
+        "gamma_es": ("0", _parse_float, _at_least(0)),
+        "duration": ("50", _parse_float, _DURATION),
+        "n_samples": ("1501", _parse_int, _at_least(16), _at_most(100_000)),
+    },
+    "transistor": {
+        "purcell": ("20", _parse_float, _POSITIVE_FINITE),
+        "branching": ("20", _parse_float, _FINITE),
+        "gate": ("1", _parse_int,
+                 (lambda v: (v == 0) | (v == 1), "must be 0 or 1")),
+        "signals": ("20", _parse_int, _at_least(0)),
+        "trials": ("10000", _parse_int, _at_least(1), _at_most(10_000_000)),
+        "duration": ("50", _parse_float, _DURATION),
+    },
+}
+
+_DEFAULTS = {command: {key: spec[0] for key, spec in keys.items()}
+             for command, keys in _KEYS.items()}
+
+# A storage sample step past the lifetime 1/Gamma is unresolved: there the
+# bookkeeping fails from steps of 2.07 (151 samples) to 58 (100000).
+_MAX_STEP = 1.0
+# run_transistor stores its gate photon on matched_storage's default grid
+_TRANSISTOR_SAMPLES = 4001
+
+
+def _check_joint(command: str, v: dict) -> None:
+    """The rules that join keys, each once; every key is in its domain."""
+    if "duration" in v:
+        samples = v.get("n_samples", _TRANSISTOR_SAMPLES)
+        longest = _MAX_STEP * (samples - 1)
+        if v["duration"] > longest:
+            raise ConfigError(
+                f"duration: at most {longest:g} over {samples} samples (a "
+                f"step of the lifetime 1/Gamma), got {v['duration']:g}")
+    if command == "storage":
+        other = 1.0 / (1.0 + v["purcell"])  # gamma_prime at Gamma = 1
+        if v["gamma_es"] > other + 1e-12:
+            raise ConfigError(f"gamma_es: must lie in [0, {other:.6g}] for "
+                              f"purcell={v['purcell']:g}")
+    if command == "transistor" and v["branching"] < v["purcell"]:
+        raise ConfigError(
+            "branching: Gamma_eg/Gamma_es cannot be below purcell "
+            "(the pumping channel would need a negative rate)")
+    if command == "g2":
+        if v["branch"] == "transmitted" and max(v["purcell"]) > _SQUARE_MAX:
+            raise ConfigError(
+                "purcell: the transmitted branch's weak-field column needs "
+                f"finite P^2 (P <= {_SQUARE_MAX:.6g})")
+        labels = [f"{p:g}" for p in v["purcell"]]
+        if len(set(labels)) < len(labels):
+            raise ConfigError(f"purcell: values {', '.join(labels)} repeat a "
+                              f"column label")
+
+
+def _parse_config(command: str, config: dict[str, str]) -> dict:
+    """The typed value of every key, each checked against its domain."""
+    values = {}
+    for key, (_, parse, *checks) in _KEYS[command].items():
+        value = parse(config[key], key)
+        array = np.atleast_1d(value)
+        for test, message in checks:
+            ok = np.asarray(test(array), dtype=bool)
+            if not ok.all():
+                bad = array.tolist()[int(np.argmin(ok))]
+                raise ConfigError(f"{key}: " + message.format(value=bad))
+        values[key] = value
+    _check_joint(command, values)
     return values
+
+
+@contextlib.contextmanager
+def _naming(v: dict, keys: str):
+    """Turn a layer's ValueError into a ConfigError that opens with a key of
+    ``v``: its own first word, or else ``keys``, the keys behind the call."""
+    try:
+        yield
+    except ValueError as exc:
+        text = str(exc)
+        if text.split(" ", 1)[0] in v:
+            raise ConfigError(text) from None
+        raise ConfigError(f"{keys}: {text}") from None
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -247,33 +318,16 @@ def _write_dataset(out_path, command, config, seed, table, summary):
         raise ConfigError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
-def cmd_scatter(config, seed):
-    purcell = _parse_float(config["purcell"], "purcell")
-    deltas = _parse_floats(config["delta"], "delta")
-    if not np.all(np.isfinite(deltas)):
-        raise ConfigError("delta: detunings must be finite")
-    params = params_from_purcell(purcell)
-    spectrum = scatter_spectrum(params, deltas)
+def cmd_scatter(v, seed):
+    spectrum = scatter_spectrum(params_from_purcell(v["purcell"]), v["delta"])
     return {"delta": spectrum.delta, "R": spectrum.reflectance,
             "T": spectrum.transmittance, "kappa": spectrum.loss}, ()
 
 
-def cmd_saturation(config, seed):
-    purcell = _parse_float(config["purcell"], "purcell")
-    omegas = _parse_floats(config["omega"], "omega")
+def cmd_saturation(v, seed):
+    purcell, omegas = v["purcell"], v["omega"]
     values = np.empty((4, omegas.size))
     for i, omega in enumerate(omegas):
-        if omega <= 0:
-            raise ConfigError("omega: drive strengths must be positive")
-        # the observables divide by the drive flux omega^2, and the closed
-        # form squares the drive
-        square = float(omega) * float(omega)
-        if square < sys.float_info.min:
-            raise ConfigError(f"omega: {float(omega)!r} is too weak, its "
-                              f"square underflows double precision")
-        if square > sys.float_info.max:
-            raise ConfigError(f"omega: {float(omega)!r} is too strong, its "
-                              f"square overflows double precision")
         t_closed, r_closed = saturation_closed_form(purcell, omega)
         params = params_from_purcell(purcell, omega_c=omega)
         obs = field_observables(params, steady_state(params))
@@ -283,51 +337,25 @@ def cmd_saturation(config, seed):
                      "R_numeric"], [omegas, *values])), ()
 
 
-def cmd_g2(config, seed):
-    purcells = _parse_floats(config["purcell"], "purcell")
-    omega = _parse_float(config["omega"], "omega")
-    branch = config["branch"]
-    if branch not in ("transmitted", "reflected"):
-        raise ConfigError(f"branch: must be transmitted or reflected, "
-                          f"got {branch!r}")
-    if omega <= 0:
-        raise ConfigError("omega: must be positive")
-    if branch == "transmitted" and not np.all(np.isfinite(purcells)):
-        raise ConfigError("purcell: the transmitted branch's weak-field "
-                          "column needs finite P")
-    labels = [f"{p:g}" for p in purcells]
-    if len(set(labels)) < len(labels):
-        raise ConfigError(f"purcell: values {', '.join(labels)} repeat a "
-                          f"column label")
-    tmax = _parse_float(config["tmax"], "tmax")
-    n_times = _parse_int(config["n_times"], "n_times")
-    if tmax <= 0 or n_times < 2:
-        raise ConfigError("need tmax > 0 and n_times >= 2")
-    times = np.linspace(0.0, tmax, n_times)
+def cmd_g2(v, seed):
+    times = np.linspace(0.0, v["tmax"], v["n_times"])
     table = {"t": times}
-    for label, p in zip(labels, purcells):
-        params = params_from_purcell(float(p), omega_c=omega)
-        table[f"g2_P{label}"] = g2(params, branch, times).values
-    if branch == "transmitted":
-        for label, p in zip(labels, purcells):
+    labels = [f"{p:g}" for p in v["purcell"]]
+    for label, p in zip(labels, v["purcell"]):
+        params = params_from_purcell(float(p), omega_c=v["omega"])
+        with _naming(v, "purcell, omega"):
+            table[f"g2_P{label}"] = g2(params, v["branch"], times).values
+    if v["branch"] == "transmitted":
+        for label, p in zip(labels, v["purcell"]):
             table[f"analytic_P{label}"] = g2_weakfield_analytic(float(p),
                                                                 times)
     return table, ()
 
 
-def cmd_jump(config, seed):
-    purcell = _parse_float(config["purcell"], "purcell")
-    omegas = _parse_floats(config["omega"], "omega")
-    if not math.isfinite(purcell):
-        raise ConfigError("purcell: the weak-limit columns need finite P")
+def cmd_jump(v, seed):
+    purcell, omegas = v["purcell"], v["omega"]
     values = np.empty((4, omegas.size))
     for i, omega in enumerate(omegas):
-        if omega <= 0:
-            raise ConfigError("omega: drive strengths must be positive")
-        # the jump state's coherence scales as omega^3
-        if omega * omega * omega < sys.float_info.min:
-            raise ConfigError(f"omega: {float(omega)!r} is too weak, its "
-                              f"cube underflows double precision")
         params = params_from_purcell(purcell, omega_c=omega)
         state = jump_state(params, branch="transmitted")
         rho_ss = steady_state(params)
@@ -340,19 +368,14 @@ def cmd_jump(config, seed):
                     [omegas, *values])), ()
 
 
-def cmd_oracle(config, seed):
-    purcell = _parse_float(config["purcell"], "purcell")
-    sigma = _parse_float(config["sigma"], "sigma")
-    n_modes = _parse_ints(config["n_modes"], "n_modes")
-    spacing = _parse_float(config["spacing"], "spacing")
-    t_peak = _parse_float(config["t_peak"], "t_peak")
-    t_final = _parse_float(config["t_final"], "t_final")
-    if sigma <= 0 or spacing <= 0:
-        raise ConfigError("sigma and spacing must be positive")
-    params = params_from_purcell(purcell)
-    grids = [build_grid(params, n, k_span=spacing * n) for n in n_modes]
-    report = convergence_report(grids, gaussian_spectrum(sigma),
-                                t_peak=t_peak, t_final=t_final)
+def cmd_oracle(v, seed):
+    params, n_modes = params_from_purcell(v["purcell"]), v["n_modes"]
+    with _naming(v, "n_modes, spacing"):
+        grids = [build_grid(params, n, k_span=v["spacing"] * n)
+                 for n in n_modes]
+    with _naming(v, "sigma, n_modes, spacing"):
+        report = convergence_report(grids, gaussian_spectrum(v["sigma"]),
+                                    t_peak=v["t_peak"], t_final=v["t_final"])
     r_avg, t_avg, _ = report.reference
     errors = [error for _, error in report.rows]
     if not errors[-1] < 1e-2:
@@ -373,27 +396,16 @@ def _three_level_from(purcell: float, gamma_es: float):
     from .storage import ThreeLevelParams
 
     rates = params_from_purcell(purcell)
-    other = rates.gamma_prime
-    if gamma_es < 0 or gamma_es > other + 1e-12:
-        raise ConfigError(
-            f"gamma_es: must lie in [0, {other:.6g}] for purcell={purcell:g}")
-    return ThreeLevelParams(rates.gamma_pl, max(0.0, other - gamma_es),
-                            gamma_es)
+    return ThreeLevelParams(rates.gamma_pl,
+                            max(0.0, rates.gamma_prime - gamma_es), gamma_es)
 
 
-def cmd_storage(config, seed):
+def cmd_storage(v, seed):
     from .storage import matched_storage, store_photon
 
-    purcell = _parse_float(config["purcell"], "purcell")
-    gamma_es = _parse_float(config["gamma_es"], "gamma_es")
-    n_samples = _parse_int(config["n_samples"], "n_samples")
-    if n_samples < 16:
-        raise ConfigError("n_samples: must be >= 16")
-    duration = _parse_duration(config["duration"], n_samples)
-    if not 0 < purcell < math.inf:
-        raise ConfigError("purcell: must be positive and finite")
-    params = _three_level_from(purcell, gamma_es)
-    matched = matched_storage(params, duration=duration, n_samples=n_samples)
+    params = _three_level_from(v["purcell"], v["gamma_es"])
+    matched = matched_storage(params, duration=v["duration"],
+                              n_samples=v["n_samples"])
     result = store_photon(params, matched.input, matched.store_control)
     e_in = matched.input.samples.values
     control = matched.store_control.samples.values
@@ -408,32 +420,14 @@ def cmd_storage(config, seed):
                    f"loss = {result.loss:.17g}")
 
 
-def cmd_transistor(config, seed):
+def cmd_transistor(v, seed):
     from .storage import conditional_mirror, run_transistor, transistor_gain
 
-    purcell = _parse_float(config["purcell"], "purcell")
-    branching = _parse_float(config["branching"], "branching")
-    gate = _parse_int(config["gate"], "gate")
-    signals = _parse_int(config["signals"], "signals")
-    trials = _parse_int(config["trials"], "trials")
-    duration = _parse_duration(config["duration"], _TRANSISTOR_SAMPLES)
-    if not 0 < purcell < math.inf:
-        raise ConfigError("purcell: must be positive and finite")
-    if math.isinf(branching):
-        raise ConfigError("branching: must be finite")
-    if branching < purcell:
-        raise ConfigError(
-            "branching: Gamma_eg/Gamma_es cannot be below purcell "
-            "(the pumping channel would need a negative rate)")
-    if gate not in (0, 1):
-        raise ConfigError("gate: must be 0 or 1")
-    if signals < 0 or trials < 1:
-        raise ConfigError("need signals >= 0 and trials >= 1")
-    params = _three_level_from(purcell, 1.0 / (1.0 + branching))
+    params = _three_level_from(v["purcell"], 1.0 / (1.0 + v["branching"]))
     mirror = conditional_mirror("g", params.as_two_level())
-    gain = transistor_gain(params, trials, seed)
-    run = run_transistor(params, gate, signals, seed=seed,
-                         storage_duration=duration)
+    gain = transistor_gain(params, v["trials"], seed)
+    run = run_transistor(params, v["gate"], v["signals"], seed=seed,
+                         storage_duration=v["duration"])
     # no gate photon was sent, so none was stored
     efficiency = (0.0 if run.storage_efficiency is None
                   else run.storage_efficiency)
@@ -448,19 +442,12 @@ def cmd_transistor(config, seed):
         f"gain: {gain.mean:.17g} +- {gain.ci95:.17g} "
         f"(analytic {gain.analytic_mean:.17g})",
         f"routing: reflected {run.reflected:.17g}, "
-        f"transmitted {run.transmitted:.17g} of {signals} signals",
+        f"transmitted {run.transmitted:.17g} of {v['signals']} signals",
     )
     return table, summary
 
-_COMMANDS = {
-    "scatter": cmd_scatter,
-    "saturation": cmd_saturation,
-    "g2": cmd_g2,
-    "jump": cmd_jump,
-    "oracle": cmd_oracle,
-    "storage": cmd_storage,
-    "transistor": cmd_transistor,
-}
+
+_COMMANDS = {command: globals()[f"cmd_{command}"] for command in _KEYS}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -496,7 +483,8 @@ def main(argv=None) -> int:
         # Overflow at extreme drive is caught by the finite checks and
         # reported below as one line; numpy's warnings would only precede it.
         with np.errstate(all="ignore"):
-            table, summary = _COMMANDS[args.command](config, args.seed)
+            values = _parse_config(args.command, config)
+            table, summary = _COMMANDS[args.command](values, args.seed)
             _write_dataset(args.out, args.command, config, args.seed, table,
                            summary)
     except ConfigError as exc:

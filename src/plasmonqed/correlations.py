@@ -8,8 +8,9 @@ the quantum regression theorem,
 with a the scaled transmitted or reflected field operator. Detecting a photon
 projects the emitter onto the conditional state a rho_ss a^+ (normalized).
 g2 is one spectral expression over the caller's delays, as given and at any
-spacing (bloch.PropagatorFamily.matrix), except at the exceptional point
-omega_c = Gamma/8, which falls back to _expm.
+spacing (bloch.PropagatorFamily.matrix), except where two eigenvalues of L
+merge (weak resonant drive, the exceptional point omega_c = Gamma/8), which
+falls back to _expm.
 
 The reflected field is proportional to sigma_ge, so its g2 is that of
 resonance fluorescence at every drive (Kimble & Mandel, Phys. Rev. A 13,
@@ -77,7 +78,8 @@ class G2Curve:
         if np.min(values) < _CLIP_FLOOR:
             raise InvariantViolation(
                 "g2-negativity",
-                f"minimum value {np.min(values)!r}, limit {_CLIP_FLOOR:g}")
+                f"minimum value {float(np.min(values))!r}, "
+                f"limit {_CLIP_FLOOR:g}")
         # tiny negative round-off at exact zeros is reported as 0
         object.__setattr__(self, "values", np.where(values < 0.0, 0.0, values))
 
@@ -115,6 +117,9 @@ def _g2(params: EmitterParams, branch: str, times) -> np.ndarray:
             f"eps * max|eigenvalue of L| = {spectral_error:.3g} Gamma, "
             f"limit {_SPECTRAL_ERROR_LIMIT:g} Gamma")
     _, a, conditional, intensity = _post_click(params, branch)
+    if intensity * intensity < np.finfo(float).tiny:
+        raise ValueError(f"detected intensity {intensity!r} on the {branch} "
+                         f"branch: its square underflows double precision")
     number_row = (a.conj().T @ a).T.reshape(4)
     evolved = family.matrix(times) @ conditional.reshape(4)
     # a sum, not a matrix product, so no delay's value depends on the others

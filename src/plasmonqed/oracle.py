@@ -226,7 +226,7 @@ def _propagate(
     recombined ``[c_e, right, left]``, checked against the norm ceiling.
     """
     if t_final < 0.0:
-        raise ValueError(f"cannot propagate backward to t_final = {t_final}")
+        raise ValueError(f"t_final = {t_final}: cannot propagate backward")
     centre, radius = _spectral_bound(grid, gamma_prime)
     segments = max(1, math.ceil(radius * t_final / _MAX_SEGMENT_RT))
     tau = t_final / segments
@@ -311,9 +311,9 @@ def scatter_wavepacket(
             f"the emitter at t_peak = {t_peak}")
     if t_final > t_peak + 0.8 * grid.recurrence_time:
         raise ValueError(
-            f"t_final = {t_final} reaches the mode-grid recurrence "
-            f"(first return near t = {t_peak + grid.recurrence_time:.1f}); "
-            f"use a denser grid or a shorter run")
+            f"t_final = {t_final} reaches the mode-grid recurrence, "
+            f"2 pi/spacing = {grid.recurrence_time:.4g} after t_peak = "
+            f"{t_peak}; use a denser grid or a shorter run")
     n = grid.n_modes
     y0 = np.zeros(1 + 2 * n, dtype=complex)
     y0[1:1 + n] = _initial_amplitudes(grid, pulse, t_peak)
@@ -407,7 +407,7 @@ def convergence_report(
         raise ValueError("need at least one grid")
     sizes = [g.n_modes for g in grids]
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("grids must have strictly increasing n_modes")
+        raise ValueError(f"n_modes must be strictly increasing, got {sizes}")
     reference = pulse_averaged_rt(grids[0].params, pulse)
     rows: list[tuple[int, float]] = []
     results: list[OracleResult] = []

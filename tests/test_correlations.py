@@ -236,6 +236,34 @@ class TestReflectedClosedForm:
         assert np.max(np.abs(curve.values - expected)) <= 1e-12
 
 
+class TestWeakResonantDrive:
+    """On resonance the eigenvalues -Gamma/2 and -Gamma/2 - 8 omega_c^2 of L
+    merge in rounding near omega_c = 1e-8. The spectral path then gave g2
+    off by O(1) from omega_c = 1.8e-11 down; _expm does not."""
+
+    @pytest.mark.parametrize("purcell", [0.6, 2.0, 20.0, 200.0])
+    @pytest.mark.parametrize("omega", [1e-12, 1e-40])
+    def test_matches_both_closed_forms(self, purcell, omega):
+        times = np.linspace(0.0, 10.0, 201)
+        p = params_from_purcell(purcell, omega_c=omega)
+        assert not PropagatorFamily(p).diagonalizable
+        np.testing.assert_allclose(
+            g2(p, "transmitted", times).values,
+            g2_weakfield_analytic(purcell, times), rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(
+            g2(p, "reflected", times).values,
+            resonance_fluorescence_g2(omega, times), rtol=0.0, atol=1e-9)
+
+    def test_drive_of_the_readme_stays_spectral(self):
+        # omega_c = 0.01: the eigenvalue gap is 8e-4 Gamma
+        assert PropagatorFamily(weak_params(2.0, 0.01)).diagonalizable
+
+    def test_intensity_whose_square_underflows_is_rejected(self):
+        # <a^+ a> = 3.9e-161 on the transmitted branch at P = 0.6
+        with pytest.raises(ValueError, match="its square underflows"):
+            g2(weak_params(0.6, 1e-80), "transmitted", TIMES)
+
+
 class TestCurveValidation:
     def test_rejects_undriven_emitter(self):
         with pytest.raises(ValueError, match="omega_c"):
@@ -246,6 +274,13 @@ class TestCurveValidation:
         with pytest.raises(InvariantViolation) as exc:
             G2Curve(times, np.array([0.1, -1e-6, 0.2]), "transmitted")
         assert exc.value.invariant == "g2-negativity"
+
+    def test_negativity_message_quotes_a_plain_float(self):
+        with pytest.raises(InvariantViolation) as exc:
+            G2Curve(np.array([0.0, 1.0]), np.array([0.5, -0.81]),
+                    "transmitted")
+        assert str(exc.value) == (
+            "g2-negativity: minimum value -0.81, limit -1e-10")
 
     def test_clips_rounding_noise_to_zero(self):
         times = np.array([0.0, 1.0, 2.0])
