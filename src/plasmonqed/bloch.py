@@ -54,6 +54,11 @@ _I2 = np.eye(2, dtype=complex)
 # gap of 1e-8 its g2 is within 3e-13 of _expm's, and where two eigenvalues
 # merge in rounding (omega_c = 1e-12 on resonance) it is off by O(100).
 _EIG_GAP_LIMIT = 1e-6
+# Delay, in 1/Gamma, from which exp(L t) is taken as exp(L 80/Gamma). Every
+# nonzero eigenvalue of L has Re <= -Gamma/2, so the other modes have
+# decayed below e^-40 = 4e-18 by then; at longer delays the zero eigenvalue,
+# which eig returns as about 1e-17, would drift exp(lambda t) away from 1.
+_SETTLED_TIME = 80.0
 # limits of validate_density_matrix: |rho - rho^+|, |Tr rho - 1| and the
 # lowest eigenvalue
 _HERM_TOL = 1e-12
@@ -88,13 +93,15 @@ class PropagatorFamily:
     from one spectral decomposition. Where two eigenvalues of L come within
     _EIG_GAP_LIMIT Gamma of each other, as at weak resonant drive and at
     the exceptional point, it falls back to ``_expm`` over the whole array.
-    ``eigenvalues`` holds the spectrum either way.
+    ``eigenvalues`` holds the spectrum either way. Delays past 80/Gamma are
+    evaluated at 80/Gamma, where exp(L t) has reached its limit.
     """
 
     def __init__(self, params: EmitterParams):
         self.generator = liouvillian(params)
         w, v = np.linalg.eig(self.generator)
         self.eigenvalues = w
+        self._settled = _SETTLED_TIME / params.gamma_total
         gaps = np.abs(w[:, None] - w)[np.triu_indices(len(w), 1)]
         # False also for a non-finite spectrum, whose gaps compare as NaN
         self.diagonalizable = bool(
@@ -108,6 +115,7 @@ class PropagatorFamily:
         t = np.asarray(t, dtype=float)
         if not np.all(np.isfinite(t) & (t >= 0)):
             raise ValueError("propagation time must be >= 0 and finite")
+        t = np.minimum(t, self._settled)
         if self.diagonalizable:
             phases = np.exp(t[..., None, None] * self.eigenvalues)
             return (self._vectors * phases) @ self._inverse

@@ -120,6 +120,11 @@ _DRIVE_CUBE = (lambda v: v * v * v >= _TINY,
 _MIN_DURATION = 1e-150
 _DURATION = (lambda v: (v >= _MIN_DURATION) & (v <= _MAX),
              f"must be finite and >= {_MIN_DURATION:g}, got {{value:g}}")
+# Fewest storage samples: swept over durations from 1e-150 to the longest a
+# count allows, the probability bookkeeping fails (above 1e-6) at up to 183
+# samples, near duration 3, and passes from 184 on. The transistor stores
+# its gate on 4001 samples.
+_MIN_SAMPLES = 200
 
 # Every config key of every subcommand: its default text, its parser, and
 # the checks its values must pass, in order. _check_joint holds the rules
@@ -165,7 +170,8 @@ _KEYS = {
         "purcell": ("20", _parse_float, _POSITIVE_FINITE),
         "gamma_es": ("0", _parse_float, _at_least(0)),
         "duration": ("50", _parse_float, _DURATION),
-        "n_samples": ("1501", _parse_int, _at_least(16), _at_most(100_000)),
+        "n_samples": ("1501", _parse_int, _at_least(_MIN_SAMPLES),
+                      _at_most(100_000)),
     },
     "transistor": {
         "purcell": ("20", _parse_float, _POSITIVE_FINITE),

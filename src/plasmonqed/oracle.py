@@ -58,6 +58,8 @@ _WINDOW_TOLERANCE = 5e-2
 # Largest R tau per Chebyshev segment: the largest Bessel argument that
 # test_bessel_matches_scipy pins against scipy.special.jv.
 _MAX_SEGMENT_RT = 4800.0
+# Smallest Bessel coefficient a Chebyshev series keeps.
+_BESSEL_FLOOR = 1e-17
 
 
 @dataclass(frozen=True)
@@ -103,16 +105,14 @@ def build_grid(
     params: EmitterParams,
     n_modes: int,
     k_span: float | None = None,
-    center: float = 0.0,
 ) -> ModeGrid:
-    """Construct a calibrated mode grid.
+    """Construct a calibrated mode grid centred on the emitter resonance.
 
     ``k_span`` is the total frequency window (units of Gamma, group velocity
-    set to 1) and must cover at least 20 linewidths; ``center`` shifts the
-    window (the emitter resonance delta = 0 must stay inside). The default
-    span keeps the mode spacing fixed at 0.08, so larger grids enclose a
-    wider band; the residual band-edge bias of grid observables falls off as
-    one over the span.
+    set to 1) and must cover at least 20 linewidths. The default span keeps
+    the mode spacing fixed at 0.08, so larger grids enclose a wider band;
+    the residual band-edge bias of grid observables falls off as one over
+    the span.
     """
     if n_modes < 2:
         raise ValueError(f"n_modes must be >= 2, got {n_modes}")
@@ -122,13 +122,8 @@ def build_grid(
     if k_span < _MIN_SPAN * params.gamma_total:
         raise ValueError(
             f"window too narrow: k_span {k_span} < {_MIN_SPAN} Gamma")
-    lo = center - k_span / 2.0
-    hi = center + k_span / 2.0
-    if not (lo < 0.0 < hi):
-        raise ValueError(
-            f"window [{lo}, {hi}] excludes the emitter resonance delta = 0")
     spacing = k_span / n_modes
-    deltas = center + (np.arange(n_modes) - (n_modes - 1) / 2.0) * spacing
+    deltas = (np.arange(n_modes) - (n_modes - 1) / 2.0) * spacing
     coupling = math.sqrt(params.gamma_pl * spacing / (4.0 * math.pi))
     return ModeGrid(params, int(n_modes), float(k_span), coupling, deltas)
 
@@ -162,16 +157,20 @@ def _initial_amplitudes(grid: ModeGrid, pulse: PulseShape, t_peak: float) -> np.
     return f / math.sqrt(np.sum(np.abs(f) ** 2))
 
 
-def _bessel_j(x: float, count: int) -> np.ndarray:
-    """J_0(x) ... J_{count-1}(x) for x >= 0 by Miller's backward recurrence.
+def _bessel_j(x: float) -> np.ndarray:
+    """J_0(x) ... J_K(x) for x >= 0, K the last order with |J_K(x)| >= 1e-17.
 
-    J_{k-1} = (2k/x) J_k - J_{k+1} is run down from an order far enough
-    above both count and x that J is negligible there, rescaled before the
-    unnormalized values can overflow, and normalized by J_0 + 2 sum J_2k = 1.
+    Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1} is run down
+    from an order far enough above x that J is negligible there, rescaled
+    before the unnormalized values can overflow, and normalized by
+    J_0 + 2 sum J_2k = 1. Beyond K the terms of a Chebyshev series with
+    these coefficients are below the rounding of its O(1) result.
     """
-    if x == 0.0:
-        return np.eye(1, count)[0]
-    top = int(max(count, x) + 10.0 * x ** (1.0 / 3.0)) + 50
+    if x < 2.0 * _BESSEL_FLOOR:
+        # J_0(x) = 1 and J_1(x) = x/2 is below the floor; at tiny x the
+        # recurrence's factor 2k/x would overflow
+        return np.ones(1)
+    top = int(x + 10.0 * x ** (1.0 / 3.0)) + 50
     down = [0.0] * (top + 2)
     down[top] = 1.0
     for k in range(top, 0, -1):
@@ -180,27 +179,21 @@ def _bessel_j(x: float, count: int) -> np.ndarray:
             down = [v * 1e-250 for v in down]
     values = np.array(down[:top + 1])
     values /= values[0] + 2.0 * np.sum(values[2::2])
-    return values[:count]
+    return values[:np.flatnonzero(np.abs(values) >= _BESSEL_FLOOR)[-1] + 1]
 
 
-def _term_count(radius_time: float) -> int:
-    """Chebyshev terms that resolve exp(-i x R t) on [-1, 1] to rounding."""
-    return math.ceil(radius_time + 10.0 * radius_time ** (1.0 / 3.0) + 40.0)
+def _spectral_radius(grid: ModeGrid, gamma_prime: float) -> float:
+    """R with ||H|| <= R for the grid Hamiltonian.
 
-
-def _spectral_bound(grid: ModeGrid, gamma_prime: float) -> tuple[float, float]:
-    """Centre c and radius R with ||H - c|| <= R for the grid Hamiltonian.
-
-    The diagonal part of H - c is bounded by its largest entry and the
-    arrowhead coupling part by its norm g sqrt(2n). The same c and R bound
-    the even block the Chebyshev series runs on: its n modes couple with
-    sqrt(2) g, and (sqrt(2) g) sqrt(n) = g sqrt(2n), while the odd block is
-    diagonal with entries among the delta_j.
+    The grid is centred on the resonance, so the diagonal part of H is
+    bounded by its largest entry and the arrowhead coupling part by its norm
+    g sqrt(2n). The same R bounds the even block the Chebyshev series runs
+    on: its n modes couple with sqrt(2) g, and (sqrt(2) g) sqrt(n) =
+    g sqrt(2n), while the odd block is diagonal with entries among the
+    delta_j.
     """
-    centre = 0.5 * float(grid.deltas[0] + grid.deltas[-1])
-    diagonal = max(float(np.max(np.abs(grid.deltas - centre))),
-                   abs(centre) + 0.5 * gamma_prime)
-    return centre, diagonal + grid.coupling * math.sqrt(2.0 * grid.n_modes)
+    diagonal = max(float(np.max(np.abs(grid.deltas))), 0.5 * gamma_prime)
+    return diagonal + grid.coupling * math.sqrt(2.0 * grid.n_modes)
 
 
 def _propagate(
@@ -208,7 +201,6 @@ def _propagate(
     initial: np.ndarray,
     t_final: float,
     gamma_prime: float,
-    n_terms: int | None = None,
 ) -> tuple[np.ndarray, list[ExcitationState]]:
     """Apply exp(-i H t_final) to ``[c_e, right, left]`` by a Chebyshev series.
 
@@ -219,27 +211,26 @@ def _propagate(
     -sqrt(2) g and the diagonal delta_j on o, so o(t) = o(0) e^{-i delta_j t}
     exactly and only the length-(1 + n) vector ``[c_e, e]`` runs the series.
     The run is cut into max(1, ceil(R t_final / 4800)) equal segments of
-    length tau, and over each one exp(-i H tau) y = e^{-i c tau} sum_k a_k
-    T_k((H - c)/R) y with a_k = (2 - delta_k0) (-i)^k J_k(R tau)
-    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)); ``n_terms``
-    defaults to _term_count(R tau). Every segment end is a snapshot of the
-    recombined ``[c_e, right, left]``, checked against the norm ceiling.
+    length tau, and over each one exp(-i H tau) y = sum_k a_k T_k(H/R) y with
+    a_k = (2 - delta_k0) (-i)^k J_k(R tau) (Tal-Ezer & Kosloff, J. Chem.
+    Phys. 81, 3967 (1984)), k up to the last order _bessel_j keeps. Every
+    segment end is a snapshot of c_e and the norm |[c_e, e]|^2 + |o|^2,
+    checked against the norm ceiling; ``[c_e, right, left]`` is recombined
+    once, at t_final.
     """
     if t_final < 0.0:
         raise ValueError(f"t_final = {t_final}: cannot propagate backward")
-    centre, radius = _spectral_bound(grid, gamma_prime)
+    radius = _spectral_radius(grid, gamma_prime)
     segments = max(1, math.ceil(radius * t_final / _MAX_SEGMENT_RT))
     tau = t_final / segments
-    if n_terms is None:
-        n_terms = _term_count(radius * tau)
-    coeffs = (2.0 * (-1j) ** np.arange(n_terms)
-              * _bessel_j(radius * tau, n_terms) * np.exp(-1j * centre * tau))
+    bessel = _bessel_j(radius * tau)
+    coeffs = 2.0 * (-1j) ** np.arange(len(bessel)) * bessel
     coeffs[0] /= 2.0
     root2 = math.sqrt(2.0)
-    # diagonal and coupling of 2 (H_even - c)/R, the operator the recurrence
+    # diagonal and coupling of 2 H_even/R, the operator the recurrence
     # applies to [c_e, e]
     diag2 = (2.0 / radius) * np.concatenate(
-        ([-0.5j * gamma_prime - centre], grid.deltas - centre))
+        ([-0.5j * gamma_prime], grid.deltas))
     g2 = -2.0 * root2 * grid.coupling / radius
 
     def double_step(y):
@@ -250,38 +241,39 @@ def _propagate(
 
     snapshots: list[ExcitationState] = []
 
-    def record(t, y):
-        state = ExcitationState(t, complex(y[0]), float(np.vdot(y, y).real))
-        if state.norm > _NORM_CEILING:
+    def record(t, c_e, norm):
+        if norm > _NORM_CEILING:
             raise InvariantViolation(
                 "excitation-norm",
-                f"norm {state.norm!r} at t = {t}, limit {_NORM_CEILING!r}")
-        snapshots.append(state)
+                f"norm {norm!r} at t = {t}, limit {_NORM_CEILING!r}")
+        snapshots.append(ExcitationState(t, complex(c_e), norm))
 
     n = grid.n_modes
     right, left = initial[1:1 + n], initial[1 + n:]
     even = np.concatenate((initial[:1], (right + left) / root2))
     even_modes0 = even[1:]
     odd = (right - left) / root2
-    record(0.0, initial)
+    odd_norm = float(np.vdot(odd, odd).real)
+    record(0.0, initial[0], float(np.vdot(initial, initial).real))
     for segment in range(segments):
-        previous, current = even, 0.5 * double_step(even)
-        even = coeffs[0] * previous + coeffs[1] * current
-        for a in coeffs[2:]:
+        # T_{-1} = T_1 starts the recurrence T_{k+1} = 2 X T_k - T_{k-1}
+        previous, current = 0.5 * double_step(even), even
+        even = coeffs[0] * current
+        for a in coeffs[1:]:
             following = double_step(current)
             following -= previous
             previous, current = current, following
             even += a * current
-        t = (segment + 1) * tau
-        phase = np.exp(-1j * grid.deltas * t)
-        if grid.coupling == 0.0:
-            # nothing couples the even modes either: they take the exact
-            # phase too, so a branch no excitation entered stays empty
-            even[1:] = even_modes0 * phase
-        odd_t = odd * phase
-        y = np.concatenate((even[:1], (even[1:] + odd_t) / root2,
-                            (even[1:] - odd_t) / root2))
-        record(t, y)
+        record((segment + 1) * tau, even[0],
+               float(np.vdot(even, even).real) + odd_norm)
+    phase = np.exp(-1j * grid.deltas * t_final)
+    if grid.coupling == 0.0:
+        # nothing couples the even modes either: they take the exact phase
+        # too, so a branch no excitation entered stays empty
+        even[1:] = even_modes0 * phase
+    odd_t = odd * phase
+    y = np.concatenate((even[:1], (even[1:] + odd_t) / root2,
+                        (even[1:] - odd_t) / root2))
     return y, snapshots
 
 
@@ -300,8 +292,14 @@ def scatter_wavepacket(
     rejected: the pulse has not yet reached the emitter, so |c_e|^2 is still
     small and the cleared check would pass on an unscattered packet. Runs must
     stay clear of the discrete recurrence at 2 pi / spacing, when the
-    scattered packet wraps around the box and hits the emitter a second time.
+    scattered packet wraps around the box and hits the emitter a second time,
+    and a peak at or past that recurrence would pass the emitter twice.
     """
+    if t_peak >= grid.recurrence_time:
+        raise ValueError(
+            f"t_peak = {t_peak} is at or past the mode-grid recurrence, "
+            f"2 pi/spacing = {grid.recurrence_time:.4g}, so the pulse peak "
+            f"passes the emitter twice; use a denser grid or an earlier peak")
     if t_final is None:
         t_final = t_peak + 35.0
     # a negative t_final is left to _propagate, which rejects it as backward

@@ -12,6 +12,7 @@ import pytest
 
 from plasmonqed.bloch import saturation_closed_form
 from plasmonqed.cli import _DEFAULTS, _write_dataset, main
+from plasmonqed.cli import _KEYS as KEY_TABLE
 from plasmonqed.core import InvariantViolation, params_from_purcell
 from plasmonqed.scatter import scatter_point
 
@@ -143,6 +144,14 @@ class TestG2:
         assert [last[f"analytic_P{p}"] for p in ("0.6", "1", "1.5", "2")] \
             == [1.0] * 4
 
+    @pytest.mark.parametrize("tmax", ["1e15", "1e18"])
+    def test_settled_delays_read_one(self, tmax):
+        """Past 80/Gamma g2 has settled to 1, on either evaluation path."""
+        proc = run_cli("g2", "--set", "omega=1e-5", "--set", f"tmax={tmax}",
+                       "--set", "n_times=3", check=True)
+        _, _, rows = parse_dataset(proc.stdout)
+        assert np.max(np.abs(np.array(rows)[1:, 1:] - 1.0)) < 1e-12
+
     def test_overflowing_analytic_column_exits_3(self, capsys):
         assert main(["g2", "--set", "purcell=1,1e100",
                      "--set", "n_times=5"]) == 3
@@ -248,6 +257,17 @@ class TestOracle:
         assert b"t_final = 0.5" in proc.stderr
         assert b"t_peak = 25" in proc.stderr
 
+    @pytest.mark.parametrize("t_peak", ["100", "1000"])
+    def test_peak_past_recurrence_exits_2(self, t_peak):
+        # the recurrence at the default spacing is 2 pi/0.08 = 78.5
+        proc = run_cli("oracle", "--set", "n_modes=250,500",
+                       "--set", f"t_peak={t_peak}",
+                       "--set", f"t_final={float(t_peak) + 35}")
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(
+            f"config error: t_peak = {float(t_peak)} is at or past the "
+            f"mode-grid recurrence".encode())
+
     def test_uncleared_pulse_exits_3(self):
         proc = run_cli("oracle", "--set", "n_modes=250",
                        "--set", "t_final=26", "--workers", "1")
@@ -265,6 +285,24 @@ class TestStorage:
         assert columns[:3] == ["t", "E_in_re", "E_in_im"]
         assert len(rows) == 801
         assert 0.93 < float(header["efficiency"]) < 0.95
+
+    @pytest.mark.parametrize("argv", [
+        ("n_samples=64",), ("n_samples=128", "duration=4.2"),
+        ("n_samples=101", "duration=1"), ("n_samples=16", "duration=15"),
+        ("n_samples=199", "duration=2.7666"),
+    ])
+    def test_unresolved_sample_count_exits_2(self, argv):
+        """Each of these failed the storage bookkeeping when it ran."""
+        proc = run_cli("storage", *(f"--set={item}" for item in argv))
+        assert proc.returncode == 2
+        assert proc.stderr == b"config error: n_samples: must be >= 200\n"
+
+    @pytest.mark.parametrize("duration", ["1e-150", "2.7666", "3.5686",
+                                          "50", "199"])
+    def test_fewest_samples_run(self, duration):
+        # 183 samples fail at 2.7666 and 3.5686
+        run_cli("storage", "--set", "n_samples=200",
+                "--set", f"duration={duration}", check=True)
 
     def test_infinite_purcell_exits_2(self):
         proc = run_cli("storage", "--set", "purcell=inf")
@@ -293,6 +331,11 @@ class TestTransistor:
         assert row["gate_stored"] == 1.0
         assert row["transmitted"] == 20.0
         assert row["reflected"] == 0.0
+
+    @pytest.mark.parametrize("duration", ["1e-150", "2.7666", "50", "4000"])
+    def test_gate_samples_resolve_every_duration(self, duration):
+        run_cli("transistor", "--set", "trials=10",
+                "--set", f"duration={duration}", check=True)
 
     def test_rejects_branching_below_purcell(self):
         proc = run_cli("transistor", "--set", "branching=10")
@@ -353,15 +396,23 @@ def test_readme_command_exits_0(argv, tmp_path, monkeypatch):
 
 
 def test_readme_key_table_lists_every_key():
-    """README's command/key/domain table has one row per config key, in the
-    order of the CLI's key table, with its default."""
-    readme = Path(__file__).resolve().parents[1] / "README.md"
-    rows = [[cell.strip().strip("`") for cell in line.split("|")[1:4]]
-            for line in readme.read_text().splitlines()
-            if line.startswith("| `") and line.count("|") == 5]
-    assert rows == [[command, key, default]
-                    for command, keys in _DEFAULTS.items()
-                    for key, default in keys.items()]
+    """README's command/key/default/domain table has one row per key of the
+    CLI's key table, in its order, with its default and a domain."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        ).splitlines()
+    start = lines.index("| command | key | default | domain |") + 2
+    rows = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.split("|")[1:-1]])
+    pairs = [(command, key) for command, keys in KEY_TABLE.items()
+             for key in keys]
+    assert [(c.strip("`"), k.strip("`")) for c, k, _, _ in rows] == pairs
+    for command, key, default, domain in rows:
+        spec = KEY_TABLE[command.strip("`")][key.strip("`")]
+        assert default == f"`{spec[0]}`"
+        assert domain
 
 
 class TestImports:
