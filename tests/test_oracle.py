@@ -13,9 +13,12 @@ from plasmonqed.core import (
 )
 from plasmonqed.oracle import (
     _BESSEL_FLOOR,
+    _BLOCK,
     _MAX_SEGMENT_RT,
     _NORM_CEILING,
+    _arrowhead,
     _bessel_j,
+    _chebyshev,
     _initial_amplitudes,
     _propagate,
     _spectral_radius,
@@ -32,6 +35,27 @@ P20 = params_from_purcell(20.0)
 REF_R = 0.8744131733195056
 REF_T = 0.03814550935672937
 REF_LOSS = 0.08744131733195068
+
+
+def _full_hamiltonian(grid, gamma_prime):
+    """Dense (1 + 2n) H on [c_e, right, left]."""
+    h = np.diag(np.concatenate(
+        ([-0.5j * gamma_prime], grid.deltas, grid.deltas)))
+    h[0, 1:] = h[1:, 0] = -grid.coupling
+    return h
+
+
+def _even_hamiltonian(grid, gamma_prime):
+    """Dense (1 + n) even block on [c_e, (right + left)/sqrt 2]."""
+    h = np.diag(np.concatenate(([-0.5j * gamma_prime], grid.deltas)))
+    h[0, 1:] = h[1:, 0] = -math.sqrt(2.0) * grid.coupling
+    return h
+
+
+def _random_state(size, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=size) + 1j * rng.normal(size=size)
+    return y / np.linalg.norm(y)
 
 
 class TestBuildGrid:
@@ -93,13 +117,8 @@ class TestChebyshevPropagator:
         from scipy.linalg import expm
 
         grid = build_grid(P20, 40)
-        n = grid.n_modes
-        h = np.diag(np.concatenate(
-            ([-0.5j * gamma_prime], grid.deltas, grid.deltas)))
-        h[0, 1:] = h[1:, 0] = -grid.coupling
-        rng = np.random.default_rng(7)
-        y0 = rng.normal(size=1 + 2 * n) + 1j * rng.normal(size=1 + 2 * n)
-        y0 /= np.linalg.norm(y0)
+        h = _full_hamiltonian(grid, gamma_prime)
+        y0 = _random_state(1 + 2 * grid.n_modes, 7)
         y, snapshots = _propagate(grid, y0, t, gamma_prime)
         assert np.max(np.abs(y - expm(-1j * t * h) @ y0)) < 1e-12
         # R t stays far below the segment cap: one segment, two snapshots
@@ -109,6 +128,71 @@ class TestChebyshevPropagator:
         assert snapshots[-1].time == pytest.approx(t)
         assert snapshots[-1].norm == pytest.approx(np.vdot(y, y).real,
                                                    abs=1e-15)
+
+    @pytest.mark.parametrize("n_modes", [40, 250])
+    @pytest.mark.parametrize("purcell", [0.0, 20.0, math.inf])
+    def test_spectral_radius_bounds_the_hamiltonian(self, n_modes, purcell):
+        """R bounds the even block and the full H, for loss and for gain.
+
+        At P = 0 and gamma_prime = 0 both are diagonal and R equals their
+        norm, so the comparison allows the norm's last-digit rounding.
+        """
+        grid = build_grid(params_from_purcell(purcell), n_modes)
+        for gamma_prime in (0.0, 0.048, 0.5, -0.1, -30.0):
+            radius = _spectral_radius(grid, gamma_prime)
+            for h in (_even_hamiltonian(grid, gamma_prime),
+                      _full_hamiltonian(grid, gamma_prime)):
+                assert np.linalg.norm(h, 2) <= radius * (1.0 + 1e-14), \
+                    gamma_prime
+
+    def test_default_grid_radii(self):
+        # max|delta| + gamma_pl n/(pi (n - 1)) + gamma_prime/2 at spacing 0.08
+        radii = [_spectral_radius(build_grid(P20, n), P20.gamma_prime)
+                 for n in (250, 500, 1000, 2000)]
+        assert radii == pytest.approx([10.29, 20.29, 40.29, 80.29], abs=5e-3)
+
+    @pytest.mark.parametrize("gamma_prime", [0.048, 0.5])
+    def test_one_series_at_several_times(self, gamma_prime):
+        """One call at three times equals three calls and the dense exponential."""
+        from scipy.linalg import expm
+
+        grid = build_grid(P20, 40)
+        radius, double_step = _arrowhead(grid, gamma_prime)
+        h = _even_hamiltonian(grid, gamma_prime)
+        y0 = _random_state(1 + grid.n_modes, 3)
+        times = [0.7, 3.0, 10.0]
+        states = _chebyshev(double_step, y0, radius, times)
+        assert states.shape == (3, 1 + grid.n_modes)
+        for t, state in zip(times, states):
+            single = _chebyshev(double_step, y0, radius, [t])[0]
+            assert np.max(np.abs(state - single)) < 1e-14
+            assert np.max(np.abs(state - expm(-1j * t * h) @ y0)) < 1e-12
+
+    @pytest.mark.parametrize("terms", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 100])
+    def test_series_across_block_edges(self, terms):
+        """Series that end inside, at and just past a block are all summed.
+
+        The time is chosen from R so that _bessel_j keeps exactly ``terms``
+        coefficients; a zero-length run keeps its one, J_0(0) = 1.
+        """
+        from scipy.linalg import expm
+
+        x = 0.0
+        if terms > 1:
+            lo, x = 0.0, float(terms)
+            for _ in range(60):
+                mid = 0.5 * (lo + x)
+                lo, x = (mid, x) if len(_bessel_j(mid)) < terms else (lo, mid)
+        assert len(_bessel_j(x)) == terms
+        grid = build_grid(P20, 40)
+        radius, double_step = _arrowhead(grid, P20.gamma_prime)
+        y0 = _random_state(1 + grid.n_modes, terms)
+        t = x / radius
+        state = _chebyshev(double_step, y0, radius, [t])[0]
+        exact = expm(-1j * t * _even_hamiltonian(grid, P20.gamma_prime)) @ y0
+        assert np.max(np.abs(state - exact)) < 1e-12
+        if terms == 1:
+            assert np.array_equal(state, y0)
 
     def test_long_run_is_split_and_checked_at_every_segment_end(self):
         """R t_final above the cap runs several segments, each end checked.
@@ -185,6 +269,13 @@ class TestGoldenRule:
         # the recurrence of this grid is at 2 pi / 0.08 = 78.5
         with pytest.raises(ValueError, match=re.escape(message)):
             golden_rule_rate(build_grid(P20, 250), t_probe)
+
+    def test_rejects_probe_longer_than_one_series(self):
+        # R = 80.27 on the lossless n = 2000 grid, so R t_probe = 4816 at
+        # t_probe = 60, which is inside 0.8 of the recurrence (62.8)
+        with pytest.raises(ValueError, match=re.escape(
+                "t_probe = 60.0 needs R t_probe = 4816 on this grid")):
+            golden_rule_rate(build_grid(P20, 2000), 60.0)
 
     @pytest.mark.parametrize("purcell", [5.0, 20.0, 50.0])
     def test_default_probe_is_in_the_exponential_window(self, purcell):
