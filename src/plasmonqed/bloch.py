@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_TAYLOR_DEGREE, _TAYLOR_RADIUS, EmitterParams,
-                   InvariantViolation)
+from .core import _TAYLOR_DEGREE, _TAYLOR_RADIUS, EmitterParams, require
 
 __all__ = [
     "SIGMA_GE",
@@ -239,17 +238,11 @@ def validate_density_matrix(rho: np.ndarray) -> None:
     """Raise InvariantViolation unless rho is a valid density matrix."""
     rho = np.asarray(rho, dtype=complex)
     skew = float(np.max(np.abs(rho - rho.conj().T)))
-    if skew > _HERM_TOL:
-        raise InvariantViolation(
-            "density-matrix-hermiticity",
-            f"max|rho - rho^+| = {skew!r}, limit {_HERM_TOL:g}")
+    require("density-matrix-hermiticity", skew, _HERM_TOL,
+            f"max|rho - rho^+| = {skew!r}")
     trace_error = float(abs(np.trace(rho) - 1.0))
-    if trace_error > _TRACE_TOL:
-        raise InvariantViolation(
-            "density-matrix-trace",
-            f"|Tr rho - 1| = {trace_error!r}, limit {_TRACE_TOL:g}")
+    require("density-matrix-trace", trace_error, _TRACE_TOL,
+            f"|Tr rho - 1| = {trace_error!r}")
     lowest = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    if lowest < _EIG_FLOOR:
-        raise InvariantViolation(
-            "density-matrix-positivity",
-            f"lowest eigenvalue {lowest!r}, limit {_EIG_FLOOR:g}")
+    require("density-matrix-positivity", lowest, _EIG_FLOOR,
+            f"lowest eigenvalue {lowest!r}")

@@ -22,8 +22,10 @@ import numpy as np
 from . import __version__
 from .bloch import (SIGMA_GE, field_observables, saturation_closed_form,
                     steady_state)
-from .core import InvariantViolation, gaussian_spectrum, params_from_purcell
-from .correlations import g2, g2_weakfield_analytic, jump_state
+from .core import (InvariantViolation, gaussian_spectrum, params_from_purcell,
+                   require)
+from .correlations import (_SPECTRAL_ERROR_LIMIT, g2, g2_weakfield_analytic,
+                           jump_state)
 from .oracle import build_grid, convergence_report
 from .scatter import scatter_spectrum
 
@@ -106,7 +108,8 @@ _SQUARE_MAX = math.sqrt(_MAX)
 _SQUARE = "{value!r} is too large, its square overflows double precision"
 _SQUARE_FITS = (lambda v: v <= _SQUARE_MAX, _SQUARE)
 # The saturation observables divide by the drive flux omega^2, and the
-# closed form squares the drive; the jump coherence scales as omega^3.
+# closed form squares the drive; the jump coherence scales as omega^3 and
+# its detection probability Tr(a rho a^+) as omega^2.
 _TINY = sys.float_info.min
 _DRIVE_SQUARE = (
     (lambda v: v * v >= _TINY,
@@ -115,6 +118,10 @@ _DRIVE_SQUARE = (
      "{value!r} is too strong, its square overflows double precision"))
 _DRIVE_CUBE = (lambda v: v * v * v >= _TINY,
                "{value!r} is too weak, its cube underflows double precision")
+# g2 runs at Gamma = 1, delta = 0: max|eigenvalue of L| = sqrt(4 omega^2 +
+# 1/2), so eps * it <= 1e-3 (g2-drive-precision) up to 1e-3/(2 eps), less
+# 1e-12 of it for the eigensolver, whose |lambda| is up to 4 eps above 2 omega.
+_G2_DRIVE_MAX = _SPECTRAL_ERROR_LIMIT / (2.0 * math.ulp(1.0)) * (1.0 - 1e-12)
 # Pulse length of storage and transistor, in 1/Gamma. The control grows as
 # 8/duration, and its square overflows below a duration of 6.3e-154.
 _MIN_DURATION = 1e-150
@@ -142,7 +149,9 @@ _KEYS = {
     },
     "g2": {
         "purcell": ("0.6,1,1.5,2", _list_of(_parse_float, 10), _at_least(0)),
-        "omega": ("0.01", _parse_float, _POSITIVE_FINITE),
+        "omega": ("0.01", _parse_float, _POSITIVE_FINITE,
+                  (lambda v: v <= _G2_DRIVE_MAX, "{value!r} is too strong, "
+                   f"at most {_G2_DRIVE_MAX:.6g} (eps * 2 omega <= 1e-3)")),
         "branch": ("transmitted", lambda text, key: text,
                    (lambda v: np.isin(v, ("transmitted", "reflected")),
                     "must be transmitted or reflected, got {value!r}")),
@@ -154,7 +163,7 @@ _KEYS = {
                     (np.isfinite, "the weak-limit columns need finite P"),
                     _SQUARE_FITS),
         "omega": ("0.001", _list_of(_parse_float, 10_000), _POSITIVE_FINITE,
-                  _DRIVE_CUBE),
+                  _DRIVE_CUBE, _DRIVE_SQUARE[1]),
     },
     "oracle": {
         "purcell": ("20", _parse_float, _at_least(0)),
@@ -384,11 +393,8 @@ def cmd_oracle(v, seed):
                                     t_peak=v["t_peak"], t_final=v["t_final"])
     r_avg, t_avg, _ = report.reference
     errors = [error for _, error in report.rows]
-    if not errors[-1] < 1e-2:
-        raise InvariantViolation(
-            "oracle-final-error",
-            f"|R_sim - R_avg| = {errors[-1]!r} at n = {n_modes[-1]}, "
-            f"limit 1e-2")
+    require("oracle-final-error", errors[-1], 1e-2,
+            f"|R_sim - R_avg| = {errors[-1]!r} at n = {n_modes[-1]}")
     table = {"n_modes": n_modes, "error": errors,
              "R_sim": [r.r_sim for r in report.results],
              "T_sim": [r.t_sim for r in report.results],

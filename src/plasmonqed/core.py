@@ -4,6 +4,9 @@ Everything internal works in units where the total emitter linewidth is 1:
 times are measured in 1/Gamma, rates in Gamma. All physics downstream depends
 only on the dimensionless combinations P = gamma_pl/gamma_prime, omega_c/Gamma
 and delta/Gamma, so absolute rates are accepted but immediately reducible.
+
+``require`` is the one place where a measured value meets its limit: every
+tolerance check of every layer calls it, and a NaN fails each of them.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 
 __all__ = [
     "InvariantViolation",
+    "require",
     "EmitterParams",
     "TimeSeries",
     "PulseShape",
@@ -34,6 +38,14 @@ class InvariantViolation(RuntimeError):
     def __init__(self, invariant: str, message: str = ""):
         self.invariant = invariant
         super().__init__(f"{invariant}: {message}" if message else invariant)
+
+
+def require(invariant: str, value: float, limit: float, text: str) -> None:
+    """Raise InvariantViolation(invariant, "<text>, limit <limit!r>") unless
+    value is within limit: at least a negative limit (a floor), at most any
+    other (a ceiling). A value equal to its limit passes; a NaN fails."""
+    if not (value >= limit if limit < 0.0 else value <= limit):
+        raise InvariantViolation(invariant, f"{text}, limit {limit!r}")
 
 
 @dataclass(frozen=True)
@@ -169,7 +181,7 @@ class PulseShape:
             raise ValueError(f"unknown norm convention {self.norm_convention!r}")
         if self.norm_convention == UNIT_NORM:
             n = self.squared_norm
-            if abs(n - 1.0) > _NORM_TOL:
+            if not abs(n - 1.0) <= _NORM_TOL:
                 raise ValueError(
                     f"unit-norm pulse has sum |v|^2 dt = {n!r}; "
                     f"expected 1 within {_NORM_TOL}")

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bloch
-from .core import EmitterParams, InvariantViolation
+from .core import EmitterParams, InvariantViolation, require
 
 __all__ = [
     "G2Curve",
@@ -75,11 +75,9 @@ class G2Curve:
                 "g2-non-finite",
                 f"{np.count_nonzero(~np.isfinite(values))} of {values.size} "
                 "values")
-        if np.min(values) < _CLIP_FLOOR:
-            raise InvariantViolation(
-                "g2-negativity",
-                f"minimum value {float(np.min(values))!r}, "
-                f"limit {_CLIP_FLOOR:g}")
+        lowest = float(np.min(values))
+        require("g2-negativity", lowest, _CLIP_FLOOR,
+                f"minimum value {lowest!r}")
         # tiny negative round-off at exact zeros is reported as 0
         object.__setattr__(self, "values", np.where(values < 0.0, 0.0, values))
 
@@ -109,13 +107,10 @@ def _g2(params: EmitterParams, branch: str, times) -> np.ndarray:
     if params.omega_c <= 0.0:
         raise ValueError("omega_c must be positive for stationary g2")
     family = bloch.PropagatorFamily(params)
-    spectral_error = (np.finfo(float).eps * np.max(np.abs(family.eigenvalues))
+    spectral_error = (math.ulp(1.0) * float(np.max(np.abs(family.eigenvalues)))
                       / params.gamma_total)
-    if not spectral_error <= _SPECTRAL_ERROR_LIMIT:
-        raise InvariantViolation(
-            "g2-drive-precision",
-            f"eps * max|eigenvalue of L| = {spectral_error:.3g} Gamma, "
-            f"limit {_SPECTRAL_ERROR_LIMIT:g} Gamma")
+    require("g2-drive-precision", spectral_error, _SPECTRAL_ERROR_LIMIT,
+            f"eps * max|eigenvalue of L| / Gamma = {spectral_error!r}")
     _, a, conditional, intensity = _post_click(params, branch)
     if intensity * intensity < np.finfo(float).tiny:
         raise ValueError(f"detected intensity {intensity!r} on the {branch} "

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EmitterParams, InvariantViolation, PulseShape, UNIT_NORM
+from .core import EmitterParams, PulseShape, UNIT_NORM, require
 
 __all__ = [
     "ModeGrid",
@@ -282,10 +282,8 @@ def _propagate(
     snapshots: list[ExcitationState] = []
 
     def record(t, c_e, norm):
-        if norm > _NORM_CEILING:
-            raise InvariantViolation(
-                "excitation-norm",
-                f"norm {norm!r} at t = {t}, limit {_NORM_CEILING!r}")
+        require("excitation-norm", norm, _NORM_CEILING,
+                f"norm {norm!r} at t = {t}")
         snapshots.append(ExcitationState(t, complex(c_e), norm))
 
     n = grid.n_modes
@@ -350,19 +348,14 @@ def scatter_wavepacket(
     y0[1:1 + n] = _initial_amplitudes(grid, pulse, t_peak)
     y, snapshots = _propagate(grid, y0, t_final, grid.params.gamma_prime)
     excited = float(abs(y[0]) ** 2)
-    if excited >= _CLEARED_TOL:
-        raise InvariantViolation(
-            "pulse-not-cleared",
-            f"|c_e|^2 = {excited!r} at t_final = {t_final}, "
-            f"limit {_CLEARED_TOL:g}")
+    require("pulse-not-cleared", excited, _CLEARED_TOL,
+            f"|c_e|^2 = {excited!r} at t_final = {t_final}")
     t_sim = float(np.sum(np.abs(y[1:1 + n]) ** 2))
     r_sim = float(np.sum(np.abs(y[1 + n:]) ** 2))
     loss_sim = 1.0 - (r_sim + t_sim + excited)
-    if abs(r_sim + t_sim + loss_sim - 1.0) > _BOOKKEEPING_TOL:
-        raise InvariantViolation(
-            "flux-bookkeeping",
-            f"R + T + loss = {r_sim + t_sim + loss_sim!r}, "
-            f"limit {_BOOKKEEPING_TOL:g}")
+    total = r_sim + t_sim + loss_sim
+    require("flux-bookkeeping", abs(total - 1.0), _BOOKKEEPING_TOL,
+            f"R + T + loss = {total!r}")
     return OracleResult(r_sim, t_sim, loss_sim, snapshots)
 
 

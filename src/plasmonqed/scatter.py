@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EmitterParams, InvariantViolation, PulseShape, UNIT_NORM
+from .core import EmitterParams, PulseShape, UNIT_NORM, require
 
 __all__ = [
     "ScatterPoint",
@@ -94,9 +94,7 @@ def pulse_averaged_rt(
     r_bar = float(weights @ point.reflectance)
     t_bar = float(weights @ point.transmittance)
     k_bar = float(weights @ point.loss)
-    if abs(r_bar + t_bar + k_bar - 1.0) > _AVERAGE_SUM_TOL:
-        raise InvariantViolation(
-            "spectral-average-normalization",
-            f"R + T + kappa = {r_bar + t_bar + k_bar!r}, "
-            f"limit {_AVERAGE_SUM_TOL:g}")
+    total = r_bar + t_bar + k_bar
+    require("spectral-average-normalization", abs(total - 1.0),
+            _AVERAGE_SUM_TOL, f"R + T + kappa = {total!r}")
     return r_bar, t_bar, k_bar

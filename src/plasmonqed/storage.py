@@ -43,6 +43,7 @@ from .core import (
     TimeSeries,
     UNIT_NORM,
     make_params,
+    require,
 )
 from .scatter import ScatterPoint, scatter_point
 
@@ -558,11 +559,10 @@ def store_photon(
     loss = float(lost[-1])
     leakage = (float(out[-1]) + float(abs(c_e[-1]) ** 2)
                + (1.0 - even_fraction) * budget)
-    if abs(efficiency + leakage + loss - budget) > _BOOKKEEPING_TOL:
-        raise InvariantViolation(
-            "storage-probability-bookkeeping",
-            f"eff + leak + loss = {efficiency + leakage + loss!r}, "
-            f"input norm = {budget!r}, limit {_BOOKKEEPING_TOL:g}")
+    total = efficiency + leakage + loss
+    require("storage-probability-bookkeeping", abs(total - budget),
+            _BOOKKEEPING_TOL,
+            f"eff + leak + loss = {total!r}, input norm = {budget!r}")
     amplitudes = (TimeSeries(samples.t0, samples.dt, c_e),
                   TimeSeries(samples.t0, samples.dt, c_s))
     return StorageResult(efficiency, leakage, loss, amplitudes)

@@ -88,6 +88,13 @@ class TestPulseShape:
         p = PulseShape(bad, FLUX_NORM)
         assert p.squared_norm == pytest.approx(4.0)
 
+    def test_nan_sample_is_not_unit_norm(self):
+        values = np.ones(10, dtype=complex)
+        values[3] = math.nan
+        with pytest.raises(ValueError, match="unit-norm pulse has sum "
+                                             r"\|v\|\^2 dt = nan"):
+            PulseShape(TimeSeries(0.0, 0.1, values))
+
     def test_normalized(self):
         ts = TimeSeries(0.0, 0.1, 3.0 * np.ones(10, dtype=complex))
         p = PulseShape(ts, FLUX_NORM).normalized()
