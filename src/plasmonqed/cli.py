@@ -27,7 +27,7 @@ from .core import (InvariantViolation, gaussian_spectrum, params_from_purcell,
 from .correlations import (_SPECTRAL_ERROR_LIMIT, g2, g2_weakfield_analytic,
                            jump_state)
 from .oracle import build_grid, convergence_report
-from .scatter import scatter_spectrum
+from .scatter import scatter_point, scatter_spectrum
 
 __all__ = ["main"]
 
@@ -107,6 +107,9 @@ def _at_most(cap):
 _SQUARE_MAX = math.sqrt(_MAX)
 _SQUARE = "{value!r} is too large, its square overflows double precision"
 _SQUARE_FITS = (lambda v: v <= _SQUARE_MAX, _SQUARE)
+# g2's transmitted weak-field column reaches (P^2 - 1)^2 at t = 0, finite up
+# to max double^(1/4) = 1.16e77, less 1e-12 of it for the two roundings.
+_FOURTH_MAX = _MAX**0.25 * (1.0 - 1e-12)
 # The saturation observables divide by the drive flux omega^2, and the
 # closed form squares the drive; the jump coherence scales as omega^3 and
 # its detection probability Tr(a rho a^+) as omega^2.
@@ -222,10 +225,10 @@ def _check_joint(command: str, v: dict) -> None:
             "branching: Gamma_eg/Gamma_es cannot be below purcell "
             "(the pumping channel would need a negative rate)")
     if command == "g2":
-        if v["branch"] == "transmitted" and max(v["purcell"]) > _SQUARE_MAX:
+        if v["branch"] == "transmitted" and max(v["purcell"]) > _FOURTH_MAX:
             raise ConfigError(
                 "purcell: the transmitted branch's weak-field column needs "
-                f"finite P^2 (P <= {_SQUARE_MAX:.6g})")
+                f"finite P^4 (P <= {_FOURTH_MAX:.6g})")
         labels = [f"{p:g}" for p in v["purcell"]]
         if len(set(labels)) < len(labels):
             raise ConfigError(f"purcell: values {', '.join(labels)} repeat a "
@@ -433,10 +436,10 @@ def cmd_storage(v, seed):
 
 
 def cmd_transistor(v, seed):
-    from .storage import conditional_mirror, run_transistor, transistor_gain
+    from .storage import run_transistor, transistor_gain
 
     params = _three_level_from(v["purcell"], 1.0 / (1.0 + v["branching"]))
-    mirror = conditional_mirror("g", params.as_two_level())
+    mirror = scatter_point(params.as_two_level())
     gain = transistor_gain(params, v["trials"], seed)
     run = run_transistor(params, v["gate"], v["signals"], seed=seed,
                          storage_duration=v["duration"])
@@ -491,6 +494,8 @@ def main(argv=None) -> int:
     try:
         if args.workers < 1:
             raise ConfigError("--workers must be >= 1")
+        if args.seed < 0:
+            raise ConfigError("--seed must be >= 0")
         config = _resolve_config(args.command, args)
         # Overflow at extreme drive is caught by the finite checks and
         # reported below as one line; numpy's warnings would only precede it.

@@ -207,11 +207,12 @@ def gaussian_spectrum(
     n_sigma: float = 8.0,
     n_samples: int = 1601,
 ) -> PulseShape:
-    """Unit-norm Gaussian spectral envelope sampled on a frequency grid.
+    """Unit-norm Gaussian envelope sampled on a frequency grid.
 
     ``rms_bandwidth`` is the rms width of the spectral intensity |f|^2, i.e.
     |f(delta)|^2 is a normal density with standard deviation ``rms_bandwidth``
-    centered on ``center``. The grid spans ``center +- n_sigma * rms``.
+    centered on ``center``. The grid spans ``center +- n_sigma * rms``; it
+    may be a time grid as well (storage's Gaussian photon).
     """
     if not rms_bandwidth > 0.0:
         raise ValueError("rms_bandwidth must be positive")

@@ -7,10 +7,10 @@ the quantum regression theorem,
 
 with a the scaled transmitted or reflected field operator. Detecting a photon
 projects the emitter onto the conditional state a rho_ss a^+ (normalized).
-g2 is one spectral expression over the caller's delays, as given and at any
-spacing (bloch.PropagatorFamily.matrix), except where two eigenvalues of L
-merge (weak resonant drive, the exceptional point omega_c = Gamma/8), which
-falls back to _expm.
+g2 is one spectral expression over the caller's delays, one or many, as
+given and at any spacing (bloch.PropagatorFamily.matrix), except where two
+eigenvalues of L merge (weak resonant drive, the exceptional point
+omega_c = Gamma/8), which falls back to _expm.
 
 The reflected field is proportional to sigma_ge, so its g2 is that of
 resonance fluorescence at every drive (Kimble & Mandel, Phys. Rev. A 13,
@@ -23,7 +23,8 @@ which the tests pin on both sides of omega_c = Gamma/8, where mu = 0.
 
 At weak drive the transmitted curve approaches the closed form
 (P^2 exp(-t/2) - 1)^2 (times in 1/Gamma), which vanishes at
-t0 = 4 ln P for P >= 1 and reaches (P^2 - 1)^2 at t = 0. Weak drive for the
+t0 = 4 ln P for P >= 1 (below P = 1 it has no zero) and reaches
+(P^2 - 1)^2 at t = 0. Weak drive for the
 transmitted branch means (1+P)^2 8 (omega_c/Gamma)^2 << 1, not merely
 omega_c << Gamma: that product is the transmitted-branch saturation parameter
 of bloch.saturation_closed_form, and the leading correction to the closed
@@ -44,9 +45,7 @@ __all__ = [
     "G2Curve",
     "JumpState",
     "g2",
-    "g2_value",
     "g2_weakfield_analytic",
-    "antibunching_time",
     "jump_state",
 ]
 
@@ -129,10 +128,6 @@ def g2(params: EmitterParams, branch: str, times) -> G2Curve:
     return G2Curve(times, _g2(params, branch, times), branch)
 
 
-def g2_value(params: EmitterParams, branch: str, t: float) -> float:
-    return float(_g2(params, branch, t))
-
-
 def g2_weakfield_analytic(purcell: float, t) -> np.ndarray | float:
     """Weak-drive transmitted-branch closed form, times in 1/Gamma.
 
@@ -142,15 +137,6 @@ def g2_weakfield_analytic(purcell: float, t) -> np.ndarray | float:
     t = np.asarray(t, dtype=float)
     value = (purcell**2 * np.exp(-t / 2.0) - 1.0) ** 2
     return float(value) if value.ndim == 0 else value
-
-
-def antibunching_time(purcell: float) -> float | None:
-    """Delay where the weak-field transmitted g2 vanishes again (P >= 1)."""
-    if purcell <= 0.0:
-        raise ValueError("purcell must be positive")
-    if purcell < 1.0:
-        return None
-    return 4.0 * math.log(purcell)
 
 
 def jump_state(params: EmitterParams, branch: str) -> JumpState:

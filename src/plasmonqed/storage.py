@@ -1,10 +1,10 @@
-"""Three-level emitter: photon storage, conditional mirror, transistor gain.
+"""Three-level emitter: photon storage and transistor gain.
 
 A metastable state |s> decoupled from the waveguide turns the emitter into a
 state-controlled mirror. A classical control Omega(t) on the s-e transition
 maps an incoming single photon onto |s> (storage); reading the same emitter
-afterwards routes signal photons by reflection (state |g>) or transmission
-(state |s>).
+afterwards routes signal photons by reflection (state |g>, as_two_level's
+scatter_point) or transmission (state |s>, a transparent emitter).
 
 Single-excitation amplitude equations (times in 1/Gamma, Gamma the total
 |e> linewidth including the control-free decay to |s>):
@@ -41,11 +41,11 @@ from .core import (
     InvariantViolation,
     PulseShape,
     TimeSeries,
-    UNIT_NORM,
+    gaussian_spectrum,
     make_params,
     require,
 )
-from .scatter import ScatterPoint, scatter_point
+from .scatter import scatter_point
 
 __all__ = [
     "ThreeLevelParams",
@@ -53,12 +53,10 @@ __all__ = [
     "GainEstimate",
     "TransistorRun",
     "MatchedStorage",
-    "gaussian_target",
     "generate_photon",
     "control_for_target_pulse",
     "store_photon",
     "matched_storage",
-    "conditional_mirror",
     "transistor_gain",
     "run_transistor",
 ]
@@ -135,22 +133,14 @@ class ThreeLevelParams:
     def gamma_total(self) -> float:
         return self.gamma_eg + self.gamma_es
 
-    @property
-    def purcell(self) -> float:
-        """P = gamma_pl over everything that is not the waveguide."""
-        other = self.gamma_prime_g + self.gamma_es
-        if other == 0.0:
-            return math.inf
-        return self.gamma_pl / other
-
-    def as_two_level(self, omega_c: float = 0.0) -> EmitterParams:
-        """Two-level view for scattering off the g-e transition.
+    def as_two_level(self) -> EmitterParams:
+        """Undriven two-level view of the g-e transition at this detuning.
 
         Decay to |s> removes the photon from the guided mode, so it counts
-        as part of the non-guided rate.
+        as part of the non-guided rate, and of the view's purcell.
         """
         other = self.gamma_prime_g + self.gamma_es
-        return make_params(self.gamma_pl, other, omega_c, self.delta,
+        return make_params(self.gamma_pl, other, 0.0, self.delta,
                            infinite_p=(other == 0.0))
 
     def with_control(self, control: PulseShape) -> "ThreeLevelParams":
@@ -415,22 +405,6 @@ def _evolve(params: ThreeLevelParams, control: TimeSeries,
     return c_e, c_s, lost, out
 
 
-def gaussian_target(duration: float, n_samples: int = 4001) -> PulseShape:
-    """Unit-norm Gaussian envelope on [0, duration].
-
-    The intensity rms width is duration/12, which keeps the truncated tails
-    at the window edges below the storage error budgets.
-    """
-    if not duration > 0.0:
-        raise ValueError("duration must be positive")
-    t = np.linspace(0.0, duration, n_samples)
-    sigma = duration / 12.0
-    amp = np.exp(-((t - duration / 2.0) ** 2) / (4.0 * sigma**2)).astype(complex)
-    dt = t[1] - t[0]
-    amp /= math.sqrt(np.sum(np.abs(amp) ** 2) * dt)
-    return PulseShape(TimeSeries(0.0, float(dt), amp), UNIT_NORM)
-
-
 def generate_photon(
     params: ThreeLevelParams, t_grid
 ) -> tuple[PulseShape, float]:
@@ -573,13 +547,17 @@ def matched_storage(
 ) -> MatchedStorage:
     """Build the impedance-matched input and control for a Gaussian photon.
 
-    The generation target is the Gaussian scaled to the largest feasible
-    emission norm (the gamma_pl/Gamma bound for slow pulses, less for pulses
-    faster than the linewidth); the storage pair is its time reverse. The
-    scale uses the inversion's own bookkeeping, so the smallest |c_s|^2
-    along the target is the feasibility margin, 1e-4.
+    The generation target is a Gaussian on [0, duration] of intensity rms
+    duration/12, whose truncated tails stay below the storage error budgets,
+    scaled to the largest feasible emission norm (the gamma_pl/Gamma bound
+    for slow pulses, less for pulses faster than the linewidth); the storage
+    pair is its time reverse. The scale uses the inversion's own
+    bookkeeping, so the smallest |c_s|^2 along the target is the
+    feasibility margin, 1e-4.
     """
-    shape = gaussian_target(duration, n_samples)
+    if not duration > 0.0:
+        raise ValueError("duration must be positive")
+    shape = gaussian_spectrum(duration / 12.0, duration / 2.0, 6.0, n_samples)
     dt = shape.samples.dt
     v0 = shape.samples.values
     headroom = _departed_population(v0 / math.sqrt(params.gamma_pl), dt,
@@ -596,18 +574,6 @@ def matched_storage(
         FLUX_NORM)
     return MatchedStorage(reversed_input, store_control, generate_control,
                           target)
-
-
-def conditional_mirror(
-    state: str, params: EmitterParams, delta: float | None = None
-) -> ScatterPoint:
-    """Scattering seen by a guided photon for a given internal state."""
-    d = params.delta if delta is None else float(delta)
-    if state == "s":
-        return ScatterPoint(d, 0.0 + 0.0j, 1.0 + 0.0j, 0.0, 1.0, 0.0)
-    if state == "g":
-        return scatter_point(params, d)
-    raise ValueError(f"internal state must be 'g' or 's', got {state!r}")
 
 
 def transistor_gain(
@@ -656,7 +622,7 @@ def run_transistor(
     if signal_count < 0:
         raise ValueError("signal_count must be >= 0")
     rng = np.random.default_rng(seed)
-    mirror = conditional_mirror("g", params.as_two_level(), params.delta)
+    mirror = scatter_point(params.as_two_level())
     other = params.gamma_prime_g + params.gamma_es
     flip_prob = 0.0
     if params.gamma_es > 0.0 and other > 0.0:

@@ -27,9 +27,7 @@ from plasmonqed.bloch import (
 )
 from plasmonqed.core import gaussian_spectrum, params_from_purcell
 from plasmonqed.correlations import (
-    antibunching_time,
     g2,
-    g2_value,
     g2_weakfield_analytic,
     jump_state,
 )
@@ -143,10 +141,10 @@ def _dip_offset(purcell, omega):
     the criterion records FAIL instead of stopping before its line.
     """
     params = params_from_purcell(purcell, omega_c=omega)
-    t0 = antibunching_time(purcell)
+    t0 = 4.0 * math.log(purcell)
     try:
         found = minimize_scalar(
-            lambda t: g2_value(params, "transmitted", t),
+            lambda t: g2(params, "transmitted", [t]).values[0],
             bracket=(t0 - 0.3, t0, t0 + 0.3), method="brent",
             options={"xtol": 1e-10})
     except ValueError:  # the bracket holds no minimum
@@ -192,7 +190,8 @@ def test_criterion_4_weakfield_g2():
     dips_ok = all(abs(v) < 0.02 for v in offsets.values())
 
     raw_g20, half = (
-        g2_value(params_from_purcell(2.0, omega_c=w), "transmitted", 0.0)
+        g2(params_from_purcell(2.0, omega_c=w), "transmitted",
+           [0.0]).values[0]
         for w in drives)
     ratios.append(_halving_ratio(raw_g20 - 9.0, half - 9.0))
     g20 = _richardson(raw_g20, half)

@@ -1,6 +1,7 @@
-"""Every public name resolves, and the CLI binds the layer functions that
+"""Every public name resolves, the CLI binds the layer functions that
 the benchmark's tracer wraps under the CLI's own names (a name it cannot
-find is not traced, and its span silently reads 0)."""
+find is not traced, and its span silently reads 0), and every name the
+benchmark's workloads call stays public."""
 
 import importlib
 
@@ -29,3 +30,28 @@ def test_every_exported_name_resolves(name):
 def test_cli_binds_the_traced_layer_function(layer, attr):
     assert attr in layer.__all__
     assert getattr(cli, attr) is getattr(layer, attr)
+
+
+@pytest.mark.parametrize("module, name", [
+    ("oracle", "build_grid"),
+    ("oracle", "convergence_report"),
+    ("oracle", "golden_rule_rate"),
+    ("storage", "matched_storage"),
+    ("storage", "store_photon"),
+    ("storage", "generate_photon"),
+    ("storage", "run_transistor"),
+    ("storage", "transistor_gain"),
+    ("core", "params_from_purcell"),
+    ("core", "gaussian_spectrum"),
+])
+def test_benchmark_calls_resolve(module, name):
+    """perfbench/worker.py calls these; losing one would show only as
+    failed benchmark operations."""
+    assert name in importlib.import_module(f"plasmonqed.{module}").__all__
+
+
+def test_benchmark_fields_resolve():
+    from plasmonqed import oracle, storage
+
+    assert "trajectory" in oracle.OracleResult.__dataclass_fields__
+    assert callable(storage.ThreeLevelParams.with_control)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from plasmonqed.bloch import saturation_closed_form
-from plasmonqed.cli import _DEFAULTS, _G2_DRIVE_MAX, _write_dataset, main
+from plasmonqed.cli import (_DEFAULTS, _FOURTH_MAX, _G2_DRIVE_MAX,
+                            _write_dataset, main)
 from plasmonqed.cli import _KEYS as KEY_TABLE
 from plasmonqed.core import InvariantViolation, params_from_purcell
 from plasmonqed.scatter import scatter_point
@@ -152,13 +153,28 @@ class TestG2:
         _, _, rows = parse_dataset(proc.stdout)
         assert np.max(np.abs(np.array(rows)[1:, 1:] - 1.0)) < 1e-12
 
-    def test_overflowing_analytic_column_exits_3(self, capsys):
+    def test_overflowing_analytic_column_exits_2(self, capsys):
+        """(P^2 - 1)^2 at t = 0 overflows: P is outside the transmitted
+        branch's domain, so no column is computed (was dataset-non-finite,
+        exit 3)."""
         assert main(["g2", "--set", "purcell=1,1e100",
-                     "--set", "n_times=5"]) == 3
+                     "--set", "n_times=5"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("invariant violated: dataset-non-finite: "
-                                "analytic_P1e+100 = inf at t = 0\n")
+        assert captured.err == (
+            "config error: purcell: the transmitted branch's weak-field "
+            "column needs finite P^4 (P <= 1.15792e+77)\n")
+
+    def test_largest_transmitted_purcell_runs(self, capsys):
+        """The largest P of the transmitted domain runs; the next double
+        exits 2 naming purcell."""
+        argv = ["g2", "--set", "n_times=21", "--set"]
+        assert main([*argv, f"purcell={_FOURTH_MAX!r}"]) == 0
+        _, _, rows = parse_dataset(capsys.readouterr().out.encode())
+        assert all(math.isfinite(v) for row in rows for v in row)
+        above = float(np.nextafter(_FOURTH_MAX, math.inf))
+        assert main([*argv, f"purcell={above!r}"]) == 2
+        assert capsys.readouterr().err.startswith("config error: purcell: ")
 
     def test_repeated_column_label_exits_2(self, capsys):
         assert main(["g2", "--set", "purcell=2,2.0000001",
@@ -536,7 +552,7 @@ class TestPlumbing:
         ("jump", "purcell", "purcell: 1.35e+154 is too large, its square "
          "overflows double precision"),
         ("g2", "purcell", "purcell: the transmitted branch's weak-field "
-         "column needs finite P^2 (P <= 1.34078e+154)"),
+         "column needs finite P^4 (P <= 1.15792e+77)"),
         ("oracle", "sigma", "sigma: 1.35e+154 is too large, its square "
          "overflows double precision"),
     ])
@@ -618,6 +634,13 @@ class TestPlumbing:
             assert proc.returncode == 2, args
             assert b"--workers" in proc.stderr
 
+    def test_negative_seed_exits_2(self):
+        for command in _DEFAULTS:
+            proc = run_cli(command, *_SMALL.get(command, []), "--seed", "-1")
+            assert proc.returncode == 2, command
+            assert proc.stdout == b""
+            assert proc.stderr == b"config error: --seed must be >= 0\n"
+
     def test_version(self):
         proc = run_cli("--version")
         assert proc.returncode == 0
@@ -658,7 +681,8 @@ class TestContract:
                 code = self.check(command, key, value)
                 assert code != 3 or command == "oracle", (command, key, value)
         for example in _EXAMPLES:
-            self.check(*example)
+            code = self.check(*example)
+            assert code != 3 or example[0] == "oracle", example
 
     @staticmethod
     def check(command, key, value):

@@ -8,9 +8,7 @@ from plasmonqed.bloch import PropagatorFamily, steady_state
 from plasmonqed.core import InvariantViolation, params_from_purcell
 from plasmonqed.correlations import (
     G2Curve,
-    antibunching_time,
     g2,
-    g2_value,
     g2_weakfield_analytic,
     jump_state,
 )
@@ -20,6 +18,11 @@ TIMES = np.linspace(0.0, 10.0, 2001)
 
 def weak_params(purcell, omega=1e-3):
     return params_from_purcell(purcell, omega_c=omega)
+
+
+def g2_at(params, branch, t):
+    """g2 at the single delay t."""
+    return g2(params, branch, [t]).values[0]
 
 
 class TestWeakFieldLimit:
@@ -39,7 +42,7 @@ class TestWeakFieldLimit:
     def test_residual_scales_as_drive_squared(self, purcell):
         ana0 = g2_weakfield_analytic(purcell, 0.0)
         scaled = [
-            (g2_value(weak_params(purcell, w), "transmitted", 0.0) - ana0) / w**2
+            (g2_at(weak_params(purcell, w), "transmitted", 0.0) - ana0) / w**2
             for w in (0.01, 0.005)
         ]
         assert scaled[0] == pytest.approx(scaled[1], rel=2e-2)
@@ -47,7 +50,7 @@ class TestWeakFieldLimit:
     def test_bunching_peak_at_zero_delay(self):
         # transmitted photons through a good mirror bunch enormously:
         # g2(0) -> (P^2 - 1)^2
-        value = g2_value(weak_params(2.0, 1e-4), "transmitted", 0.0)
+        value = g2_at(weak_params(2.0, 1e-4), "transmitted", 0.0)
         assert value == pytest.approx(9.0, rel=1e-3)
 
     def test_closed_form_is_stable_at_long_delays(self):
@@ -67,9 +70,9 @@ class TestWeakFieldLimit:
 
     def test_dip_position(self):
         p = weak_params(1.5, 0.01)
-        t0 = antibunching_time(1.5)
+        t0 = 4.0 * math.log(1.5)
         result = minimize_scalar(
-            lambda t: g2_value(p, "transmitted", t),
+            lambda t: g2_at(p, "transmitted", t),
             bracket=(t0 - 0.3, t0, t0 + 0.3), method="brent",
             options={"xtol": 1e-10})
         assert abs(result.x - t0) < 0.02
@@ -79,27 +82,26 @@ class TestWeakFieldLimit:
         p = params_from_purcell(20.0, omega_c=0.01)
         curve = g2(p, branch, np.linspace(0.0, 10.0, 401))
         for t, value in zip(curve.times, curve.values):
-            assert abs(g2_value(p, branch, t) - value) <= 1e-15, t
+            assert abs(g2_at(p, branch, t) - value) <= 1e-15, t
 
     def test_long_delay_decorrelates(self):
-        value = g2_value(params_from_purcell(20.0, omega_c=0.3),
-                         "transmitted", 60.0)
+        value = g2_at(params_from_purcell(20.0, omega_c=0.3),
+                      "transmitted", 60.0)
         assert value == pytest.approx(1.0, abs=1e-6)
 
 
 class TestAntibunchingTime:
-    def test_values(self):
-        assert antibunching_time(2.0) == pytest.approx(4.0 * math.log(2.0))
-        assert antibunching_time(1.0) == 0.0
-        assert antibunching_time(0.6) is None
+    """The weak-field transmitted g2 vanishes again at t0 = 4 ln P."""
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            antibunching_time(0.0)
+    def test_values(self):
+        # at P = 1 the zero is t = 0; below it the curve has none
+        assert g2_weakfield_analytic(1.0, 0.0) == 0.0
+        curve = g2_weakfield_analytic(0.6, np.linspace(0.0, 100.0, 1001))
+        assert np.min(curve) == pytest.approx((1.0 - 0.36) ** 2, rel=1e-12)
 
     def test_closed_form_vanishes_there(self):
         for purcell in (1.3, 2.0, 5.0):
-            t0 = antibunching_time(purcell)
+            t0 = 4.0 * math.log(purcell)
             assert g2_weakfield_analytic(purcell, t0) == pytest.approx(0.0,
                                                                        abs=1e-20)
 
@@ -133,7 +135,7 @@ class TestStrongDrive:
 class TestReflectedBranch:
     def test_perfect_antibunching_at_zero_delay(self):
         p = params_from_purcell(20.0, omega_c=0.3)
-        assert g2_value(p, "reflected", 0.0) <= 1e-10
+        assert g2_at(p, "reflected", 0.0) <= 1e-10
 
     def test_jump_state_is_ground(self):
         state = jump_state(params_from_purcell(20.0, omega_c=0.5), "reflected")
@@ -288,12 +290,13 @@ class TestCurveValidation:
         assert curve.values[1] == 0.0
 
     def test_nonuniform_times_match_g2_value(self):
-        """g2 is evaluated at exactly the given delays, at any spacing."""
+        """g2 is evaluated at exactly the given delays, at any spacing: each
+        value is the one g2 gives at that delay alone."""
         p = params_from_purcell(20.0, omega_c=0.3)
         times = np.array([0.0, 0.1, 0.3, 2.0, 2.05, 7.5])
         curve = g2(p, "transmitted", times)
         np.testing.assert_array_equal(curve.times, times)
-        expected = [g2_value(p, "transmitted", t) for t in times]
+        expected = [g2_at(p, "transmitted", t) for t in times]
         np.testing.assert_allclose(curve.values, expected, rtol=0.0,
                                    atol=1e-15)
 
@@ -309,6 +312,6 @@ class TestCurveValidation:
         # the exceptional point's fallback
         p = params_from_purcell(20.0, omega_c=omega)
         with pytest.raises(ValueError, match="propagation time must be >= 0"):
-            g2_value(p, "reflected", bad)
+            g2(p, "reflected", [bad])
         with pytest.raises(ValueError, match="propagation time must be >= 0"):
             g2(p, "reflected", np.array([0.0, bad]))

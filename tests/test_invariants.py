@@ -1,6 +1,6 @@
 """Every numerical postcondition of the package, driven over its limit.
 
-Eleven checks compare a measured value with a limit through
+Ten checks compare a measured value with a limit through
 ``core.require``; six have no limit and raise directly. Each is reached
 here from a small input that crosses it, and each limit check also fails
 on a NaN.
@@ -56,11 +56,11 @@ def _oracle_command(monkeypatch, error):
                    0)
 
 
-def _uncleared_run():
-    """A run that ends 1/Gamma after the peak, the pulse still in the
-    emitter: |c_e|^2 = 0.14."""
+def _uncleared_run(t_final=26.0):
+    """A run that ends before the pulse has left the emitter; by default
+    1/Gamma after the peak, with |c_e|^2 = 0.14."""
     oracle.scatter_wavepacket(oracle.build_grid(P20, 250),
-                              gaussian_spectrum(0.1), t_final=26.0)
+                              gaussian_spectrum(0.1), t_final=t_final)
 
 
 def _excited_start(amplitude):
@@ -84,14 +84,6 @@ def _overflowing_jump():
                                 "transmitted")
 
 
-def _uncleared_with_bookkeeping_only(monkeypatch):
-    """R + T + loss differs from 1 by the |c_e|^2 still in the emitter,
-    which pulse-not-cleared bounds at the same 1e-6; with that check lifted
-    the bookkeeping catches the uncleared run."""
-    monkeypatch.setattr(oracle, "_CLEARED_TOL", 1.0)
-    _uncleared_run()
-
-
 # (invariant, the call that crosses it); the six without a limit come last
 OVER_THE_LIMIT = [
     ("density-matrix-hermiticity",
@@ -109,7 +101,9 @@ OVER_THE_LIMIT = [
                                 "transmitted", np.array([0.0, 1.0]))),
     ("excitation-norm", lambda mp: _excited_start(1.1)),
     ("pulse-not-cleared", lambda mp: _uncleared_run()),
-    ("flux-bookkeeping", _uncleared_with_bookkeeping_only),
+    # 27/Gamma after the peak |c_e|^2 = 2.0e-6 is left, twice the limit;
+    # the loss is 1 - (R + T + |c_e|^2), so this also bounds R + T + loss
+    ("pulse-not-cleared", lambda mp: _uncleared_run(t_final=52.0)),
     ("spectral-average-normalization", lambda mp: _averaged_with(1.0)),
     # 100 samples over a duration of 3, too few for the pulse
     ("storage-probability-bookkeeping",
@@ -142,7 +136,7 @@ def test_each_check_fails_over_its_limit(invariant, cross, monkeypatch):
     assert exc.value.invariant == invariant
 
 
-# The limit of each of the eleven checks that goes through require
+# The limit of each of the ten checks that goes through require
 LIMITS = {
     "density-matrix-hermiticity": bloch._HERM_TOL,
     "density-matrix-trace": bloch._TRACE_TOL,
@@ -152,7 +146,6 @@ LIMITS = {
     "g2-drive-precision": correlations._SPECTRAL_ERROR_LIMIT,
     "excitation-norm": oracle._NORM_CEILING,
     "pulse-not-cleared": oracle._CLEARED_TOL,
-    "flux-bookkeeping": oracle._BOOKKEEPING_TOL,
     "spectral-average-normalization": scatter._AVERAGE_SUM_TOL,
     "storage-probability-bookkeeping": storage._BOOKKEEPING_TOL,
 }

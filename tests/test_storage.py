@@ -15,15 +15,14 @@ from plasmonqed.core import (
     InvariantViolation,
     PulseShape,
     TimeSeries,
+    gaussian_spectrum,
 )
 from plasmonqed.scatter import scatter_point
 from plasmonqed.storage import (
     _TAYLOR_RADIUS,
     GainEstimate,
     ThreeLevelParams,
-    conditional_mirror,
     control_for_target_pulse,
-    gaussian_target,
     generate_photon,
     matched_storage,
     run_transistor,
@@ -46,6 +45,12 @@ def matched_pair(duration, n_samples=2001):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
         return matched_storage(PARAMS, duration=duration, n_samples=n_samples)
+
+
+def gaussian(duration, n_samples):
+    """Unit-norm Gaussian on [0, duration], intensity rms duration/12: the
+    shape matched_storage scales into its target."""
+    return gaussian_spectrum(duration / 12.0, duration / 2.0, 6.0, n_samples)
 
 
 def three_level(purcell, pumping_share, delta):
@@ -111,11 +116,12 @@ class TestThreeLevelParams:
         p = ThreeLevelParams(0.8, 0.1, 0.1)
         assert p.gamma_eg == pytest.approx(0.9)
         assert p.gamma_total == pytest.approx(1.0)
-        assert p.purcell == pytest.approx(4.0)
+        assert p.as_two_level().purcell == pytest.approx(4.0)
 
     def test_purcell_counts_all_nonguided_channels(self):
-        assert PARAMS.purcell == pytest.approx(20.0)
-        assert ThreeLevelParams(1.0, 0.0, 0.0).purcell == math.inf
+        assert PARAMS.as_two_level().purcell == pytest.approx(20.0)
+        assert ThreeLevelParams(1.0, 0.0, 0.0).as_two_level().purcell \
+            == math.inf
 
     def test_rejects_bad_rates(self):
         with pytest.raises(ValueError):
@@ -132,10 +138,11 @@ class TestThreeLevelParams:
             ThreeLevelParams(20.0 / 21.0, 1.0 / 21.0, 0.0, delta=delta)
 
     def test_two_level_view(self):
-        two = PARAMS.as_two_level(omega_c=0.3)
+        two = three_level(20.0, 0.5, 0.7).as_two_level()
         assert two.gamma_pl == pytest.approx(PARAMS.gamma_pl)
         assert two.gamma_prime == pytest.approx(1.0 / 21.0)
-        assert two.omega_c == 0.3
+        assert two.omega_c == 0.0
+        assert two.delta == 0.7
         assert two.purcell == pytest.approx(20.0)
 
     def test_two_level_view_lossless(self):
@@ -152,16 +159,19 @@ class TestThreeLevelParams:
 
 
 class TestGaussianTarget:
+    """matched_storage's Gaussian: centred, intensity rms duration/12."""
+
     def test_unit_norm_and_center(self):
-        pulse = gaussian_target(50.0)
-        assert pulse.squared_norm == pytest.approx(1.0, abs=1e-9)
-        grid = pulse.samples.grid
-        intensity = np.abs(pulse.samples.values) ** 2
-        mean = np.sum(grid * intensity) / np.sum(intensity)
-        assert mean == pytest.approx(25.0, abs=1e-9)
+        matched = matched_pair(50.0, 4001)
+        assert matched.input.squared_norm == pytest.approx(1.0, abs=1e-9)
+        for pulse in (matched.input, matched.target):
+            grid = pulse.samples.grid
+            intensity = np.abs(pulse.samples.values) ** 2
+            mean = np.sum(grid * intensity) / np.sum(intensity)
+            assert mean == pytest.approx(25.0, abs=1e-9)
 
     def test_intensity_rms_width(self):
-        pulse = gaussian_target(60.0, 4001)
+        pulse = matched_pair(60.0, 4001).target
         grid = pulse.samples.grid
         intensity = np.abs(pulse.samples.values) ** 2
         mean = np.sum(grid * intensity) / np.sum(intensity)
@@ -169,8 +179,8 @@ class TestGaussianTarget:
         assert math.sqrt(var) == pytest.approx(5.0, rel=1e-3)
 
     def test_rejects_nonpositive_duration(self):
-        with pytest.raises(ValueError):
-            gaussian_target(0.0)
+        with pytest.raises(ValueError, match="^duration must be positive$"):
+            matched_storage(PARAMS, duration=0.0)
 
 
 class TestMatchedStorage:
@@ -343,7 +353,7 @@ class TestGeneratePhoton:
 
 class TestControlInversion:
     def test_rejects_norm_above_bound(self):
-        shape = gaussian_target(50.0, 1001)
+        shape = gaussian(50.0, 1001)
         over = PulseShape(
             TimeSeries(0.0, shape.samples.dt,
                        shape.samples.values * math.sqrt(0.96)), FLUX_NORM)
@@ -353,7 +363,7 @@ class TestControlInversion:
     def test_rejects_pulse_faster_than_linewidth(self):
         # norm is feasible for a slow pulse, but emitting it within two
         # linewidths would need |c_e|^2 > 1: the inversion guard must fire
-        shape = gaussian_target(2.0, 1001)
+        shape = gaussian(2.0, 1001)
         fast = PulseShape(
             TimeSeries(0.0, shape.samples.dt,
                        shape.samples.values * math.sqrt(0.95 * BOUND)),
@@ -409,7 +419,7 @@ class TestControlInversion:
     def test_rejects_decoupled_emitter(self):
         p = ThreeLevelParams(0.0, 0.5, 0.5)
         with pytest.raises(ValueError, match="gamma_pl"):
-            control_for_target_pulse(p, gaussian_target(10.0, 501))
+            control_for_target_pulse(p, gaussian(10.0, 501))
 
 
 class TestAgreesWithScipyReference:
@@ -649,21 +659,18 @@ class TestBlocks:
 
 
 class TestConditionalMirror:
-    def test_stored_state_is_transparent(self):
-        pt = conditional_mirror("s", PARAMS.as_two_level())
-        assert pt.transmittance == 1.0
-        assert pt.reflectance == 0.0
-        assert pt.t == 1.0 + 0.0j
-
     def test_ground_state_scatters(self):
+        """In |g> the emitter reflects with the two-level view's r at the
+        params' own detuning, in the transistor as well."""
         two = PARAMS.as_two_level()
-        assert conditional_mirror("g", two) == scatter_point(two, 0.0)
-        detuned = conditional_mirror("g", two, delta=0.7)
-        assert detuned == scatter_point(two, 0.7)
-
-    def test_rejects_unknown_state(self):
-        with pytest.raises(ValueError, match="internal state"):
-            conditional_mirror("e", PARAMS.as_two_level())
+        assert scatter_point(two) == scatter_point(two, 0.0)
+        detuned = three_level(20.0, 0.0, 0.7)
+        point = scatter_point(detuned.as_two_level())
+        assert point == scatter_point(two, 0.7)
+        run = run_transistor(detuned, 0, 15, seed=5)
+        assert not run.flip_occurred
+        assert run.reflected == 15 * point.reflectance
+        assert run.transmitted == 15 * point.transmittance
 
 
 class TestTransistorGain:
