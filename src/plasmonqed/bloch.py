@@ -30,8 +30,6 @@ from .core import _TAYLOR_DEGREE, _TAYLOR_RADIUS, EmitterParams, require
 
 __all__ = [
     "SIGMA_GE",
-    "SIGMA_EG",
-    "SIGMA_EE",
     "FieldObservables",
     "PropagatorFamily",
     "liouvillian",

@@ -12,7 +12,7 @@ tolerance check of every layer calls it, and a NaN fails each of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

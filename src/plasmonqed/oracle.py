@@ -12,9 +12,9 @@ combination (right + left)/sqrt 2 (Shen & Fan, Opt. Lett. 30, 2001
 (2005)), so the propagator changes basis: the series runs on the emitter
 and the n even modes, one O(n) arrowhead matvec per term, while the n odd
 modes (right - left)/sqrt 2 never meet the emitter and only pick up their
-free phases. A run is cut into the fewest equal segments whose R tau
-(spectral radius times segment length) stays at most 4800, so the fixed
-term overhead of a series is paid once or a few times per run. One driver,
+free phases. A run is cut into segments only where its non-guided loss
+needs it: the fewest equal ones whose |gamma_prime| tau stays at most 10,
+so a run with little loss is one series however long. One driver,
 _chebyshev, sums each series a block of terms at a time, for several times.
 
 Conventions: linear dispersion around resonance, detunings delta_j on a
@@ -55,9 +55,12 @@ _CONVERGENCE_FLOOR = 1e-5
 # Largest difference of golden_rule_rate's two slopes relative to the rate:
 # 1e-2 for the default probe on calibrated grids, 0.6 in the quadratic onset.
 _WINDOW_TOLERANCE = 5e-2
-# Largest R tau per Chebyshev segment: the largest Bessel argument that
-# test_bessel_matches_scipy pins against scipy.special.jv.
-_MAX_SEGMENT_RT = 4800.0
+# Largest |gamma_prime| tau per Chebyshev segment. With the corner
+# -i gamma_prime/2 a series' terms grow to about e^{|gamma_prime| tau/2}
+# times its result and carry their rounding into it. At n = 250 and
+# P <= 1, runs cut at 2.5 to 25 agree with runs cut at 1 to 2e-14, at 30 to
+# 3e-13, at 40 to 2e-11. 10 keeps P = 5 at t_final = 60 one series.
+_LOSS_PER_SEGMENT = 10.0
 # Smallest Bessel coefficient a Chebyshev series keeps.
 _BESSEL_FLOOR = 1e-17
 # Chebyshev terms summed per matrix product: 0.77 MB of rows at n = 2000.
@@ -122,7 +125,8 @@ def build_grid(
     if k_span is None:
         k_span = max(_MIN_SPAN * params.gamma_total,
                      _DEFAULT_SPACING * n_modes)
-    if k_span < _MIN_SPAN * params.gamma_total:
+    # Gamma = gamma_pl + gamma_prime can round to 1 + 2.2e-16 (P = 0.001)
+    if k_span < _MIN_SPAN * params.gamma_total * (1.0 - 1e-12):
         raise ValueError(
             f"window too narrow: k_span {k_span} < {_MIN_SPAN} Gamma")
     spacing = k_span / n_modes
@@ -265,16 +269,19 @@ def _propagate(
     splits into an arrowhead block on ``[c_e, e]`` with coupling
     -sqrt(2) g and the diagonal delta_j on o, so o(t) = o(0) e^{-i delta_j t}
     exactly and only the length-(1 + n) vector ``[c_e, e]`` runs the series.
-    The run is cut into max(1, ceil(R t_final / 4800)) equal segments of
-    length tau, each one _chebyshev series for exp(-i H tau). Every
-    segment end is a snapshot of c_e and the norm |[c_e, e]|^2 + |o|^2,
-    checked against the norm ceiling; ``[c_e, right, left]`` is recombined
-    once, at t_final.
+    The run is cut into max(1, ceil(|gamma_prime| t_final / 10)) equal
+    segments of length tau, each one _chebyshev series for exp(-i H tau):
+    the corner -i gamma_prime/2 makes a series' terms grow to about
+    e^{|gamma_prime| tau/2} times its result, and a segment bounds that
+    growth. Every segment end is a snapshot of c_e and the norm
+    |[c_e, e]|^2 + |o|^2, checked against the norm ceiling;
+    ``[c_e, right, left]`` is recombined once, at t_final.
     """
     if t_final < 0.0:
         raise ValueError(f"t_final = {t_final}: cannot propagate backward")
     radius, double_step = _arrowhead(grid, gamma_prime)
-    segments = max(1, math.ceil(radius * t_final / _MAX_SEGMENT_RT))
+    segments = max(1, math.ceil(abs(gamma_prime) * t_final
+                                / _LOSS_PER_SEGMENT))
     tau = t_final / segments
     root2 = math.sqrt(2.0)
 
@@ -366,11 +373,9 @@ def golden_rule_rate(grid: ModeGrid, t_probe: float = 2.0) -> float:
     this reproduces gamma_pl.
 
     t_probe must be positive and, like a scattering run, stay within 0.8 of
-    the recurrence at 2 pi / spacing, with R t_probe at most 4800, the
-    longest series a segment of _propagate runs; a probe too short for
-    |c_e|^2 to fall between the two times is rejected as well, and so is
-    one whose slopes before and after t_probe/2 disagree (quadratic onset
-    or late tail).
+    the recurrence at 2 pi / spacing; a probe too short for |c_e|^2 to fall
+    between the two times is rejected as well, and so is one whose slopes
+    before and after t_probe/2 disagree (quadratic onset or late tail).
     """
     if not (math.isfinite(t_probe) and t_probe > 0.0):
         raise ValueError(f"t_probe must be finite and positive, got {t_probe!r}")
@@ -380,10 +385,6 @@ def golden_rule_rate(grid: ModeGrid, t_probe: float = 2.0) -> float:
             f"(first return near t = {grid.recurrence_time:.1f}); "
             f"use a denser grid or a shorter probe")
     radius, double_step = _arrowhead(grid, 0.0)
-    if radius * t_probe > _MAX_SEGMENT_RT:
-        raise ValueError(
-            f"t_probe = {t_probe} needs R t_probe = {radius * t_probe:.4g} on "
-            f"this grid, above the {_MAX_SEGMENT_RT:g} of one Chebyshev series")
     states = _chebyshev(double_step, np.eye(1, 1 + grid.n_modes)[0], radius,
                         t_probe * np.array([0.25, 0.5, 1.0]))
     p1, p_mid, p2 = (np.abs(states[:, 0]) ** 2).tolist()

@@ -284,6 +284,19 @@ class TestOracle:
             f"config error: t_peak = {float(t_peak)} is at or past the "
             f"mode-grid recurrence".encode())
 
+    @pytest.mark.parametrize("argv", [
+        ("purcell=0.01", "t_final=70"), ("purcell=0.01", "t_final=78"),
+        ("purcell=0.03", "t_final=74"), ("purcell=0.001",),
+        ("purcell=0.003",)])
+    def test_low_purcell_runs(self, argv):
+        # the first three lost their digits as one series (exit 3), the
+        # last two had Gamma round above 1 and failed the span floor (exit 2)
+        proc = run_cli("oracle", *(a for kv in argv for a in ("--set", kv)),
+                       check=True)
+        _, _, rows = parse_dataset(proc.stdout)
+        assert len(rows) == 4
+        assert np.all(np.isfinite(rows))
+
     def test_uncleared_pulse_exits_3(self):
         proc = run_cli("oracle", "--set", "n_modes=250",
                        "--set", "t_final=26", "--workers", "1")
