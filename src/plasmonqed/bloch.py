@@ -153,8 +153,6 @@ def steady_state(params: EmitterParams) -> np.ndarray:
     first, so nothing overflows, and rho_ee underflows only with omega_c^2.
     """
     gamma = params.gamma_total
-    if gamma <= 0.0:
-        raise ValueError("gamma_total must be positive for a steady state")
     width = math.hypot(0.5 * gamma, params.delta)
     scale = max(params.omega_c, width)
     x, y = params.omega_c / scale, width / scale

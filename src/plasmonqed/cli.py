@@ -62,7 +62,9 @@ def _list_of(parse, count: int):
 
     def parse_list(text: str, key: str) -> np.ndarray:
         ranged = parse is _parse_float and ":" in text
-        parts = [p for p in text.split(":" if ranged else ",") if p]
+        parts = text.split(":" if ranged else ",")
+        if "" in parts:
+            raise ConfigError(f"{key}: empty item in {text!r}")
         if ranged and len(parts) != 3:
             raise ConfigError(f"{key}: range syntax is lo:hi:n, got {text!r}")
         n = _parse_int(parts[2], key) if ranged else len(parts)
@@ -76,9 +78,6 @@ def _list_of(parse, count: int):
                 f"{key}: at most {count} values allowed, got {n}")
         if ranged:
             return np.linspace(lo, hi, n)
-        if not parts:
-            raise ConfigError(
-                f"{key}: expected at least one value, got {text!r}")
         return np.array([parse(p, key) for p in parts])
 
     return parse_list

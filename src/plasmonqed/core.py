@@ -7,6 +7,9 @@ and delta/Gamma, so absolute rates are accepted but immediately reducible.
 
 ``require`` is the one place where a measured value meets its limit: every
 tolerance check of every layer calls it, and a NaN fails each of them.
+``_check_rates`` is the one rate rule: ``EmitterParams`` and
+``storage.ThreeLevelParams`` call it when built, so no parameter object with
+a negative or non-finite rate, a non-finite delta or a zero total exists.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ __all__ = [
     "EmitterParams",
     "TimeSeries",
     "PulseShape",
-    "make_params",
     "params_from_purcell",
     "gaussian_spectrum",
 ]
@@ -48,6 +50,22 @@ def require(invariant: str, value: float, limit: float, text: str) -> None:
         raise InvariantViolation(invariant, f"{text}, limit {limit!r}")
 
 
+def _check_rates(params, *rates: str) -> None:
+    """Store the named rates and ``delta`` of a frozen parameter object as
+    floats. Each rate must be finite and >= 0, delta finite and the total
+    decay rate positive; zero loss is the lossless, infinite-Purcell limit."""
+    for name in (*rates, "delta"):
+        object.__setattr__(params, name, float(getattr(params, name)))
+    for name in rates:
+        value = getattr(params, name)
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    if not math.isfinite(params.delta):
+        raise ValueError(f"delta must be finite, got {params.delta!r}")
+    if not params.gamma_total > 0.0:
+        raise ValueError("total decay rate must be positive")
+
+
 @dataclass(frozen=True)
 class EmitterParams:
     """Rates of a driven two-level emitter coupled to the waveguide.
@@ -66,6 +84,9 @@ class EmitterParams:
     omega_c: float = 0.0
     delta: float = 0.0
 
+    def __post_init__(self):
+        _check_rates(self, "gamma_pl", "gamma_prime", "omega_c")
+
     @property
     def gamma_total(self) -> float:
         return self.gamma_pl + self.gamma_prime
@@ -76,36 +97,6 @@ class EmitterParams:
         if self.gamma_prime == 0.0:
             return math.inf
         return self.gamma_pl / self.gamma_prime
-
-
-def make_params(
-    gamma_pl: float,
-    gamma_prime: float,
-    omega_c: float = 0.0,
-    delta: float = 0.0,
-    *,
-    infinite_p: bool = False,
-) -> EmitterParams:
-    """Validate rates and build an EmitterParams.
-
-    ``gamma_prime = 0`` (the lossless, infinite-Purcell limit) is allowed only
-    when explicitly requested through ``infinite_p``, so a typo'd zero cannot
-    silently change the physics.
-    """
-    for name, value in (("gamma_pl", gamma_pl), ("gamma_prime", gamma_prime),
-                        ("omega_c", omega_c)):
-        if not math.isfinite(value) or value < 0.0:
-            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    if not math.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta!r}")
-    if gamma_prime == 0.0 and not infinite_p:
-        raise ValueError(
-            "gamma_prime = 0 means an infinite Purcell factor; "
-            "pass infinite_p=True if that is intended")
-    if gamma_pl + gamma_prime <= 0.0:
-        raise ValueError("gamma_pl + gamma_prime must be positive")
-    return EmitterParams(float(gamma_pl), float(gamma_prime),
-                         float(omega_c), float(delta))
 
 
 def params_from_purcell(
@@ -120,15 +111,12 @@ def params_from_purcell(
     gamma_pl = Gamma * P/(1+P), gamma_prime = Gamma/(1+P).
     ``purcell = math.inf`` selects the lossless limit.
     """
-    if not gamma_total > 0.0 or not math.isfinite(gamma_total):
-        raise ValueError(f"gamma_total must be positive and finite, got {gamma_total!r}")
-    if math.isinf(purcell) and purcell > 0:
-        return make_params(gamma_total, 0.0, omega_c, delta, infinite_p=True)
-    if not math.isfinite(purcell) or purcell < 0.0:
+    if not purcell >= 0.0:
         raise ValueError(f"purcell must be >= 0, got {purcell!r}")
-    gamma_pl = gamma_total * purcell / (1.0 + purcell)
-    gamma_prime = gamma_total / (1.0 + purcell)
-    return make_params(gamma_pl, gamma_prime, omega_c, delta)
+    if math.isinf(purcell):
+        return EmitterParams(gamma_total, 0.0, omega_c, delta)
+    return EmitterParams(gamma_total * purcell / (1.0 + purcell),
+                         gamma_total / (1.0 + purcell), omega_c, delta)
 
 
 @dataclass(frozen=True)

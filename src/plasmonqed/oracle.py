@@ -154,8 +154,7 @@ def _initial_amplitudes(grid: ModeGrid, pulse: PulseShape, t_peak: float) -> np.
     if leaked > _LEAKAGE_TOL:
         raise ValueError(
             f"spectral leakage beyond window: norm outside {leaked!r}")
-    f = np.interp(grid.deltas, freq, values.real, left=0.0, right=0.0) \
-        + 1j * np.interp(grid.deltas, freq, values.imag, left=0.0, right=0.0)
+    f = np.interp(grid.deltas, freq, values, left=0.0, right=0.0)
     norm = float(np.sum(np.abs(f) ** 2) * grid.mode_spacing)
     if abs(1.0 - norm) > _RESOLUTION_TOL:
         raise ValueError(

@@ -19,7 +19,6 @@ from .core import EmitterParams, PulseShape, UNIT_NORM, require
 
 __all__ = [
     "ScatterPoint",
-    "reflection_coefficient",
     "scatter_point",
     "scatter_spectrum",
     "pulse_averaged_rt",
@@ -41,20 +40,15 @@ class ScatterPoint:
     loss: float
 
 
-def reflection_coefficient(params: EmitterParams, delta: float | None = None) -> complex:
-    """Amplitude reflection coefficient r(delta).
+def scatter_point(params: EmitterParams, delta: float | None = None) -> ScatterPoint:
+    """Full (r, t, R, T, kappa) at a detuning or an array of them
+    (params.delta by default).
 
-    r = -gamma_pl / (gamma_total - 2 i delta). A decoupled emitter
-    (gamma_pl = 0) gives r = 0; the lossless limit gives |r(0)| = 1.
+    r = -gamma_pl / (gamma_total - 2 i delta) and t = 1 + r. A decoupled
+    emitter (gamma_pl = 0) gives r = 0; the lossless limit gives |r(0)| = 1.
     """
     d = params.delta if delta is None else delta
-    return -params.gamma_pl / (params.gamma_total - 2.0j * d)
-
-
-def scatter_point(params: EmitterParams, delta: float | None = None) -> ScatterPoint:
-    """Full (r, t, R, T, kappa) at a detuning or an array of them; t = 1 + r."""
-    d = params.delta if delta is None else delta
-    r = reflection_coefficient(params, d)
+    r = -params.gamma_pl / (params.gamma_total - 2.0j * d)
     t = 1.0 + r
     reflectance = abs(r) ** 2
     transmittance = abs(t) ** 2

@@ -36,13 +36,13 @@ import numpy as np
 from .core import (
     _TAYLOR_DEGREE,
     _TAYLOR_RADIUS,
+    _check_rates,
     EmitterParams,
     FLUX_NORM,
     InvariantViolation,
     PulseShape,
     TimeSeries,
     gaussian_spectrum,
-    make_params,
     require,
 )
 from .scatter import scatter_point
@@ -116,14 +116,7 @@ class ThreeLevelParams:
     control: PulseShape | None = None
 
     def __post_init__(self):
-        for name in ("gamma_pl", "gamma_prime_g", "gamma_es"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if not math.isfinite(self.delta):
-            raise ValueError(f"delta must be finite, got {self.delta!r}")
-        if self.gamma_total <= 0.0:
-            raise ValueError("total decay rate must be positive")
+        _check_rates(self, "gamma_pl", "gamma_prime_g", "gamma_es")
 
     @property
     def gamma_eg(self) -> float:
@@ -139,9 +132,8 @@ class ThreeLevelParams:
         Decay to |s> removes the photon from the guided mode, so it counts
         as part of the non-guided rate, and of the view's purcell.
         """
-        other = self.gamma_prime_g + self.gamma_es
-        return make_params(self.gamma_pl, other, 0.0, self.delta,
-                           infinite_p=(other == 0.0))
+        return EmitterParams(self.gamma_pl,
+                             self.gamma_prime_g + self.gamma_es, 0.0, self.delta)
 
     def with_control(self, control: PulseShape) -> "ThreeLevelParams":
         return ThreeLevelParams(self.gamma_pl, self.gamma_prime_g,

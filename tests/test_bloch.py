@@ -20,7 +20,6 @@ from plasmonqed.bloch import (
 from plasmonqed.core import (
     EmitterParams,
     InvariantViolation,
-    make_params,
     params_from_purcell,
 )
 from plasmonqed.scatter import scatter_point
@@ -127,8 +126,8 @@ class TestSteadyState:
         validate_density_matrix(rho)
 
     def test_rejects_zero_linewidth(self):
-        with pytest.raises(ValueError, match="gamma_total"):
-            steady_state(EmitterParams(0.0, 0.0, omega_c=1.0))
+        with pytest.raises(ValueError, match="total decay rate"):
+            EmitterParams(0.0, 0.0, omega_c=1.0)
 
 
 class TestPropagator:

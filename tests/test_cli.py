@@ -523,7 +523,10 @@ class TestPlumbing:
                               ("jump", "omega="), ("oracle", "n_modes="),
                               ("scatter", "delta=nan"),
                               ("scatter", "delta=inf"),
-                              ("scatter", "delta=0:inf:3")):
+                              ("scatter", "delta=0:inf:3"),
+                              ("g2", "purcell=1,,2"),
+                              ("scatter", "delta=1,2,"),
+                              ("scatter", "delta=1:2:3:")):
             proc = run_cli(command, "--set", item)
             key = item.partition("=")[0]
             assert proc.returncode == 2, (command, item)

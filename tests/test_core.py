@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from plasmonqed.core import (
     PulseShape,
     TimeSeries,
     gaussian_spectrum,
-    make_params,
     params_from_purcell,
 )
+from plasmonqed.storage import ThreeLevelParams
 
 
 class TestParams:
@@ -33,18 +34,44 @@ class TestParams:
         assert p.gamma_prime == 0.0
         assert p.purcell == math.inf
 
-    def test_zero_gamma_prime_needs_flag(self):
-        with pytest.raises(ValueError, match="infinite_p"):
-            make_params(1.0, 0.0)
-        p = make_params(1.0, 0.0, infinite_p=True)
+    def test_zero_gamma_prime_is_the_lossless_limit(self):
+        p = EmitterParams(1.0, 0.0)
         assert p.purcell == math.inf
+        assert p == params_from_purcell(math.inf)
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_rejects_bad_rates(self, bad):
         with pytest.raises(ValueError):
-            make_params(bad, 1.0)
+            EmitterParams(bad, 1.0)
         with pytest.raises(ValueError):
-            make_params(1.0, 1.0, omega_c=bad)
+            EmitterParams(1.0, 1.0, omega_c=bad)
+
+    @pytest.mark.parametrize("kind", [EmitterParams, ThreeLevelParams])
+    def test_both_parameter_types_check_their_rates(self, kind):
+        """One rule for both types, whose first four fields are three rates
+        (the third is omega_c or gamma_es) and delta: each rate finite and
+        >= 0, delta finite, a positive total. Zero loss is accepted, and
+        every number is stored as a float."""
+        for args in ((-0.5, 1.0, 0.5, 0.0), (1.0, -0.5, 0.5, 0.0),
+                     (1.0, 1.0, -0.5, 0.0), (math.nan, 1.0, 0.5, 0.0),
+                     (1.0, math.inf, 0.5, 0.0), (1.0, 1.0, math.nan, 0.0),
+                     (1.0, 1.0, 0.5, math.nan), (0.0, 0.0, 0.0, 0.0)):
+            with pytest.raises(ValueError):
+                kind(*args)
+        lossless = kind(np.float64(1.0), 0, 0, np.float64(0.25))
+        assert lossless.gamma_total == 1.0
+        two_level = (lossless.as_two_level() if kind is ThreeLevelParams
+                     else lossless)
+        assert two_level.purcell == math.inf
+        stored = [getattr(lossless, f.name) for f in fields(lossless)[:4]]
+        assert stored == [1.0, 0.0, 0.0, 0.25]
+        assert all(type(value) is float for value in stored)
+
+    @pytest.mark.parametrize("purcell", [0.0, 20.0, math.inf])
+    @pytest.mark.parametrize("gamma_total", [0.0, -1.0, math.inf, math.nan])
+    def test_purcell_rejects_bad_total(self, purcell, gamma_total):
+        with pytest.raises(ValueError):
+            params_from_purcell(purcell, gamma_total=gamma_total)
 
     def test_rejects_negative_purcell(self):
         with pytest.raises(ValueError):

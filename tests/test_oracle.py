@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from plasmonqed.core import (
+    EmitterParams,
     InvariantViolation,
     PulseShape,
     gaussian_spectrum,
-    make_params,
     params_from_purcell,
 )
 from plasmonqed.oracle import (
@@ -311,7 +311,7 @@ class TestGoldenRule:
 
 class TestScatterWavepacket:
     def test_decoupled_emitter_transmits_exactly(self):
-        p = make_params(0.0, 1.0)
+        p = EmitterParams(0.0, 1.0)
         grid = build_grid(p, 250)
         result = scatter_wavepacket(grid, gaussian_spectrum(0.1))
         assert result.t_sim == pytest.approx(1.0, abs=1e-8)

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plasmonqed.core import (
+    EmitterParams,
     PulseShape,
     TimeSeries,
     gaussian_spectrum,
-    make_params,
     params_from_purcell,
 )
 from plasmonqed.scatter import (
     pulse_averaged_rt,
-    reflection_coefficient,
     scatter_point,
     scatter_spectrum,
 )
@@ -44,7 +43,7 @@ def test_lorentzian_half_width():
 
 
 def test_perfect_mirror_limit():
-    p = make_params(1.0, 0.0, infinite_p=True)
+    p = EmitterParams(1.0, 0.0)
     pt = scatter_point(p, 0.0)
     assert pt.reflectance == pytest.approx(1.0, abs=1e-15)
     assert abs(pt.t) < 1e-15
@@ -52,7 +51,7 @@ def test_perfect_mirror_limit():
 
 
 def test_decoupled_emitter_never_reflects():
-    p = make_params(0.0, 1.0)
+    p = EmitterParams(0.0, 1.0)
     for delta in (0.0, 1.0, -4.0):
         pt = scatter_point(p, delta)
         assert pt.reflectance == 0.0
@@ -74,9 +73,9 @@ def test_resonant_reflectance_closed_form(purcell):
                                            rel=1e-12)
 
 
-def test_reflection_coefficient_uses_params_delta():
+def test_scatter_point_uses_params_delta():
     p = params_from_purcell(20.0, delta=0.5)
-    assert reflection_coefficient(p) == reflection_coefficient(p, 0.5)
+    assert scatter_point(p).r == scatter_point(p, 0.5).r
 
 
 def test_scatter_spectrum_orders_points():
