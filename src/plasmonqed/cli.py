@@ -24,8 +24,7 @@ from .bloch import (SIGMA_GE, field_observables, saturation_closed_form,
                     steady_state)
 from .core import (InvariantViolation, gaussian_spectrum, params_from_purcell,
                    require)
-from .correlations import (_SPECTRAL_ERROR_LIMIT, g2, g2_weakfield_analytic,
-                           jump_state)
+from .correlations import g2, g2_weakfield_analytic, jump_state
 from .oracle import build_grid, convergence_report
 from .scatter import scatter_point, scatter_spectrum
 
@@ -56,11 +55,12 @@ def _parse_int(text: str, key: str) -> int:
 
 def _list_of(parse, count: int):
     """Parser of a comma list of at most ``count`` values, or for floats of
-    the range lo:hi:n of n evenly spaced values. Each value costs a whole
-    unit of the subcommand's work: a detuning, a steady state, a g2 curve of
-    n_times delays, an oracle grid."""
+    the range lo:hi:n of n evenly spaced values, returned as the triple
+    (lo, hi, n) for _parse_config to check at its typed ends and spread.
+    Each value costs a whole unit of the subcommand's work: a detuning, a
+    steady state, a g2 curve of n_times delays, an oracle grid."""
 
-    def parse_list(text: str, key: str) -> np.ndarray:
+    def parse_list(text: str, key: str):
         ranged = parse is _parse_float and ":" in text
         parts = text.split(":" if ranged else ",")
         if "" in parts:
@@ -77,7 +77,7 @@ def _list_of(parse, count: int):
             raise ConfigError(
                 f"{key}: at most {count} values allowed, got {n}")
         if ranged:
-            return np.linspace(lo, hi, n)
+            return lo, hi, n
         return np.array([parse(p, key) for p in parts])
 
     return parse_list
@@ -85,136 +85,105 @@ def _list_of(parse, count: int):
 
 # A check on a key's values: a test of an array of them, and the message
 # of the first value that fails it.
-_MAX = sys.float_info.max
-_FINITE = (np.isfinite, "must be finite")
-_POSITIVE_FINITE = (lambda v: (v > 0) & (v <= _MAX),
-                    "must be positive and finite")
+def _within(lo, hi, *also):
+    """The domain of a numeric key: the closed interval [lo, hi], plus the
+    values ``also``."""
+    extra = "".join(f" or {value:g}" for value in also)
+    return (lambda v: ((v >= lo) & (v <= hi)) | np.isin(v, also),
+            f"must lie in [{lo:g}, {hi:g}]{extra}, got {{value!r}}")
 
 
-def _at_least(low):
-    return (lambda v: v >= low, f"must be >= {low}")
-
-
-def _at_most(cap):
-    # a size cap: far above every default, and small enough that the
-    # largest run fits in memory and ends in minutes
-    return (lambda v: v <= cap, f"at most {cap} allowed, got {{value}}")
-
-
-# The closed forms square P, and the Gaussian spectrum sigma, as Python
-# floats, which raise OverflowError from sqrt(max double) = 1.34e154 on.
-_SQUARE_MAX = math.sqrt(_MAX)
-_SQUARE = "{value!r} is too large, its square overflows double precision"
-_SQUARE_FITS = (lambda v: v <= _SQUARE_MAX, _SQUARE)
-# g2's transmitted weak-field column reaches (P^2 - 1)^2 at t = 0, finite up
-# to max double^(1/4) = 1.16e77, less 1e-12 of it for the two roundings.
-_FOURTH_MAX = _MAX**0.25 * (1.0 - 1e-12)
-# The saturation observables divide by the drive flux omega^2, and the
-# closed form squares the drive; the jump coherence scales as omega^3 and
-# its detection probability Tr(a rho a^+) as omega^2.
-_TINY = sys.float_info.min
-_DRIVE_SQUARE = (
-    (lambda v: v * v >= _TINY,
-     "{value!r} is too weak, its square underflows double precision"),
-    (lambda v: v * v <= _MAX,
-     "{value!r} is too strong, its square overflows double precision"))
-_DRIVE_CUBE = (lambda v: v * v * v >= _TINY,
-               "{value!r} is too weak, its cube underflows double precision")
-# g2 runs at Gamma = 1, delta = 0: max|eigenvalue of L| = sqrt(4 omega^2 +
-# 1/2), so eps * it <= 1e-3 (g2-drive-precision) up to 1e-3/(2 eps), less
-# 1e-12 of it for the eigensolver, whose |lambda| is up to 4 eps above 2 omega.
-_G2_DRIVE_MAX = _SPECTRAL_ERROR_LIMIT / (2.0 * math.ulp(1.0)) * (1.0 - 1e-12)
-# Pulse length of storage and transistor, in 1/Gamma. The control grows as
-# 8/duration, and its square overflows below a duration of 6.3e-154.
-_MIN_DURATION = 1e-150
-_DURATION = (lambda v: (v >= _MIN_DURATION) & (v <= _MAX),
-             f"must be finite and >= {_MIN_DURATION:g}, got {{value:g}}")
-# Fewest storage samples: swept over durations from 1e-150 to the longest a
-# count allows, the probability bookkeeping fails (above 1e-6) at up to 183
-# samples, near duration 3, and passes from 184 on. The transistor stores
-# its gate on 4001 samples.
+# Each domain is physical, in units of Gamma, with wide margins around the
+# paper's runs: Purcell factors of order 1 to 1e3, drives, detunings and
+# pulse bandwidths of order Gamma, times of order 1 to 1e4/Gamma (Chang,
+# Sorensen, Demler & Lukin, arXiv:0706.4335). A count's upper bound is a
+# size cap, small enough that the largest run fits in memory and ends in
+# seconds. purcell = inf is the lossless limit.
+_PURCELL = _within(0, 1e6, math.inf)
+_DRIVE = _within(1e-8, 1e4)
+# Fewest storage samples: swept over the duration domain, from 0.01 to the
+# longest a count allows, the probability bookkeeping fails (above 1e-6) at
+# up to 183 samples, near duration 3, and passes from 184 on.
 _MIN_SAMPLES = 200
+_MAX_SAMPLES = 100_000
+# A storage sample step past the lifetime 1/Gamma is unresolved: there the
+# bookkeeping fails from steps of 2.07 (151 samples) to 58 (100000).
+_MAX_STEP = 1.0
 
 # Every config key of every subcommand: its default text, its parser, and
 # the checks its values must pass, in order. _check_joint holds the rules
 # that join keys.
 _KEYS = {
     "scatter": {
-        "purcell": ("20", _parse_float, _at_least(0)),
-        "delta": ("-5:5:201", _list_of(_parse_float, 100_000), _FINITE),
+        "purcell": ("20", _parse_float, _PURCELL),
+        "delta": ("-5:5:201", _list_of(_parse_float, 100_000),
+                  _within(-1e4, 1e4)),
     },
     "saturation": {
-        "purcell": ("20", _parse_float, _at_least(0),
-                    (lambda v: (v <= _SQUARE_MAX) | (v == math.inf), _SQUARE)),
+        "purcell": ("20", _parse_float, _PURCELL),
         "omega": ("0.001,0.01,0.1,0.3,1,3,10", _list_of(_parse_float, 10_000),
-                  _POSITIVE_FINITE, *_DRIVE_SQUARE),
+                  _DRIVE),
     },
     "g2": {
-        "purcell": ("0.6,1,1.5,2", _list_of(_parse_float, 10), _at_least(0)),
-        "omega": ("0.01", _parse_float, _POSITIVE_FINITE,
-                  (lambda v: v <= _G2_DRIVE_MAX, "{value!r} is too strong, "
-                   f"at most {_G2_DRIVE_MAX:.6g} (eps * 2 omega <= 1e-3)")),
+        "purcell": ("0.6,1,1.5,2", _list_of(_parse_float, 10), _PURCELL),
+        "omega": ("0.01", _parse_float, _DRIVE),
         "branch": ("transmitted", lambda text, key: text,
                    (lambda v: np.isin(v, ("transmitted", "reflected")),
                     "must be transmitted or reflected, got {value!r}")),
-        "tmax": ("10", _parse_float, _POSITIVE_FINITE),
-        "n_times": ("401", _parse_int, _at_least(2), _at_most(100_000)),
+        "tmax": ("10", _parse_float, _within(0.01, 1e6)),
+        "n_times": ("401", _parse_int, _within(2, 100_000)),
     },
     "jump": {
-        "purcell": ("20", _parse_float, _at_least(0),
-                    (np.isfinite, "the weak-limit columns need finite P"),
-                    _SQUARE_FITS),
-        "omega": ("0.001", _list_of(_parse_float, 10_000), _POSITIVE_FINITE,
-                  _DRIVE_CUBE, _DRIVE_SQUARE[1]),
+        # the weak-limit columns, 1 + P and -(P^2 - 1), need finite P
+        "purcell": ("20", _parse_float, _within(0, 1e6)),
+        "omega": ("0.001", _list_of(_parse_float, 10_000), _DRIVE),
     },
     "oracle": {
-        "purcell": ("20", _parse_float, _at_least(0)),
-        "sigma": ("0.1", _parse_float, (lambda v: v > 0, "must be positive"),
-                  _SQUARE_FITS),
+        # A run needs n_modes * spacing >= 20 and a pulse that the grid
+        # holds, clears by t_final and that peaks before the box recurrence
+        # 2 pi/spacing; the layer checks these and names the keys.
+        "purcell": ("20", _parse_float, _PURCELL),
+        "sigma": ("0.1", _parse_float, _within(0.01, 10)),
         "n_modes": ("250,500,1000,2000", _list_of(_parse_int, 10),
-                    _at_most(20_000)),
-        "spacing": ("0.08", _parse_float, _POSITIVE_FINITE),
-        "t_peak": ("25", _parse_float, _FINITE),
-        "t_final": ("60", _parse_float, _FINITE),
+                    _within(100, 20_000)),
+        "spacing": ("0.08", _parse_float, _within(0.001, 0.25)),
+        "t_peak": ("25", _parse_float, _within(1, 1000)),
+        "t_final": ("60", _parse_float, _within(15, 2000)),
     },
     "storage": {
-        "purcell": ("20", _parse_float, _POSITIVE_FINITE),
-        "gamma_es": ("0", _parse_float, _at_least(0)),
-        "duration": ("50", _parse_float, _DURATION),
-        "n_samples": ("1501", _parse_int, _at_least(_MIN_SAMPLES),
-                      _at_most(100_000)),
+        "purcell": ("20", _parse_float, _within(0.01, 1e6)),
+        "gamma_es": ("0", _parse_float, _within(0, 0.99)),
+        "duration": ("50", _parse_float,
+                     _within(0.01, _MAX_STEP * (_MAX_SAMPLES - 1))),
+        "n_samples": ("1501", _parse_int,
+                      _within(_MIN_SAMPLES, _MAX_SAMPLES)),
     },
     "transistor": {
-        "purcell": ("20", _parse_float, _POSITIVE_FINITE),
-        "branching": ("20", _parse_float, _FINITE),
-        "gate": ("1", _parse_int,
-                 (lambda v: (v == 0) | (v == 1), "must be 0 or 1")),
-        "signals": ("20", _parse_int, _at_least(0)),
-        "trials": ("10000", _parse_int, _at_least(1), _at_most(10_000_000)),
-        "duration": ("50", _parse_float, _DURATION),
+        "purcell": ("20", _parse_float, _within(0.01, 1e6)),
+        "branching": ("20", _parse_float, _within(0.01, 1e6)),
+        "gate": ("1", _parse_int, _within(0, 1)),
+        "signals": ("20", _parse_int, _within(0, 1_000_000)),
+        # the 95 % interval of the gain needs two trials
+        "trials": ("10000", _parse_int, _within(2, 10_000_000)),
+        # run_transistor stores its gate photon on matched_storage's default
+        # grid, 4001 samples, so at most a step of 1/Gamma
+        "duration": ("50", _parse_float, _within(0.01, 4000)),
     },
 }
 
 _DEFAULTS = {command: {key: spec[0] for key, spec in keys.items()}
              for command, keys in _KEYS.items()}
 
-# A storage sample step past the lifetime 1/Gamma is unresolved: there the
-# bookkeeping fails from steps of 2.07 (151 samples) to 58 (100000).
-_MAX_STEP = 1.0
-# run_transistor stores its gate photon on matched_storage's default grid
-_TRANSISTOR_SAMPLES = 4001
-
 
 def _check_joint(command: str, v: dict) -> None:
     """The rules that join keys, each once; every key is in its domain."""
-    if "duration" in v:
-        samples = v.get("n_samples", _TRANSISTOR_SAMPLES)
+    if command == "storage":
+        samples = v["n_samples"]
         longest = _MAX_STEP * (samples - 1)
         if v["duration"] > longest:
             raise ConfigError(
                 f"duration: at most {longest:g} over {samples} samples (a "
                 f"step of the lifetime 1/Gamma), got {v['duration']:g}")
-    if command == "storage":
         other = 1.0 / (1.0 + v["purcell"])  # gamma_prime at Gamma = 1
         if v["gamma_es"] > other + 1e-12:
             raise ConfigError(f"gamma_es: must lie in [0, {other:.6g}] for "
@@ -224,10 +193,9 @@ def _check_joint(command: str, v: dict) -> None:
             "branching: Gamma_eg/Gamma_es cannot be below purcell "
             "(the pumping channel would need a negative rate)")
     if command == "g2":
-        if v["branch"] == "transmitted" and max(v["purcell"]) > _FOURTH_MAX:
-            raise ConfigError(
-                "purcell: the transmitted branch's weak-field column needs "
-                f"finite P^4 (P <= {_FOURTH_MAX:.6g})")
+        if v["branch"] == "transmitted" and np.isinf(v["purcell"]).any():
+            raise ConfigError("purcell: inf needs branch=reflected (the "
+                              "transmitted weak-field column needs finite P)")
         labels = [f"{p:g}" for p in v["purcell"]]
         if len(set(labels)) < len(labels):
             raise ConfigError(f"purcell: values {', '.join(labels)} repeat a "
@@ -235,17 +203,20 @@ def _check_joint(command: str, v: dict) -> None:
 
 
 def _parse_config(command: str, config: dict[str, str]) -> dict:
-    """The typed value of every key, each checked against its domain."""
+    """The typed value of every key, each checked against its domain. A
+    range lo:hi:n is checked at its typed ends, then spread: its values lie
+    between them, and the span of two ends in a domain is finite."""
     values = {}
     for key, (_, parse, *checks) in _KEYS[command].items():
         value = parse(config[key], key)
-        array = np.atleast_1d(value)
+        ranged = isinstance(value, tuple)
+        array = np.atleast_1d(value[:2] if ranged else value)
         for test, message in checks:
             ok = np.asarray(test(array), dtype=bool)
             if not ok.all():
                 bad = array.tolist()[int(np.argmin(ok))]
                 raise ConfigError(f"{key}: " + message.format(value=bad))
-        values[key] = value
+        values[key] = np.linspace(*value) if ranged else value
     _check_joint(command, values)
     return values
 
@@ -496,21 +467,15 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ConfigError("--seed must be >= 0")
         config = _resolve_config(args.command, args)
-        # Overflow at extreme drive is caught by the finite checks and
-        # reported below as one line; numpy's warnings would only precede it.
-        with np.errstate(all="ignore"):
-            values = _parse_config(args.command, config)
-            table, summary = _COMMANDS[args.command](values, args.seed)
-            _write_dataset(args.out, args.command, config, args.seed, table,
-                           summary)
+        values = _parse_config(args.command, config)
+        table, summary = _COMMANDS[args.command](values, args.seed)
+        _write_dataset(args.out, args.command, config, args.seed, table,
+                       summary)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except InvariantViolation as exc:
         print(f"invariant violated: {exc}", file=sys.stderr)
-        return 3
-    except OverflowError as exc:
-        print(f"numerical overflow: {args.command}: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

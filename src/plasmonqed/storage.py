@@ -573,9 +573,13 @@ def transistor_gain(
 ) -> GainEstimate:
     """Monte Carlo mean number of g-preserving scatterings before a spin flip.
 
-    Each scattering event flips the emitter to |s> with probability
-    p = gamma_es / (gamma_eg + gamma_es); the count of photons routed before
-    the flip is geometric with mean gamma_eg/gamma_es.
+    The count is of scattering events, photons the emitter absorbed and
+    re-emitted, not of incident signals: each flips the emitter to |s> with
+    probability gamma_es / (gamma_eg + gamma_es), so the count before the
+    flip is geometric with mean gamma_eg/gamma_es. Per incident signal,
+    run_transistor's flip probability p is 2 gamma_pl gamma_es / Gamma^2 on
+    resonance, so analytic_mean * p = 2 gamma_pl gamma_eg / Gamma^2 (1.81 at
+    P = 20 and branching 20).
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -602,12 +606,15 @@ def run_transistor(
     """End-to-end gate: store (or not) a gate photon, then route signals.
 
     The gate outcome and the optical-pumping flip photon are sampled with the
-    seeded generator; reflected/transmitted are expected counts conditioned
-    on that sampled path. While the emitter sits in |g> each signal photon
-    reflects with the conditional-mirror R and is lost into the pumping
-    channel with probability kappa * gamma_es/(gamma_prime_g + gamma_es); the
-    photon that causes the flip is absorbed, and everything after the flip is
-    transmitted.
+    seeded generator; reflected/transmitted are expected counts of incident
+    signal photons conditioned on that sampled path. While the emitter sits
+    in |g> each signal photon reflects with the conditional-mirror R and is
+    lost into the pumping channel with probability
+    p = kappa * gamma_es/(gamma_prime_g + gamma_es); the photon that causes
+    the flip is absorbed, and everything after the flip is transmitted. So
+    ``reflected`` counts the signals routed before the flip, R (F - 1) for
+    the sampled flip index F; with no gate stored and more signals than
+    arrive before the flip its mean is R (1 - p)/p.
     """
     if gate_photon not in (0, 1):
         raise ValueError("gate_photon must be 0 or 1")

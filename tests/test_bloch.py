@@ -301,6 +301,17 @@ class TestSaturation:
         with pytest.raises(ValueError):
             saturation_closed_form(-1.0, 0.5)
 
+    @pytest.mark.parametrize("omega", [2.3e152, 1e154])
+    def test_drive_past_the_overflow_of_x2_saturates(self, omega):
+        """(1+P)^2 8 omega^2 overflows here, while omega^2 does not: the
+        closed form and the steady state both read T = 1, R ~ 0."""
+        t_closed, r_closed = saturation_closed_form(20.0, omega)
+        p = params_from_purcell(20.0, omega_c=omega)
+        obs = field_observables(p, steady_state(p))
+        assert t_closed == obs.transmittance == 1.0
+        assert 0.0 <= r_closed < 1e-300
+        assert 0.0 <= obs.reflectance < 1e-300
+
     def test_monotone_in_drive(self):
         omegas = np.linspace(0.0, 5.0, 41)
         ts = [saturation_closed_form(20.0, w)[0] for w in omegas]

@@ -740,6 +740,24 @@ class TestRunTransistor:
         assert run.transmitted == pytest.approx(expected_t, abs=1e-12)
         assert run.reflected + run.transmitted < 20.0
 
+    def test_mean_reflected_count_is_the_closed_form(self):
+        """With more signals than ever arrive before the flip, the reflected
+        count is R (F - 1), F geometric with the per-signal flip probability
+        p = kappa gamma_es/(gamma'_g + gamma_es), so its mean is R (1 - p)/p.
+        At P = 1 and branching 1, p = 1/2 and the mean is 1/4: 8000 seeded
+        runs give it to a standard error of 0.004, and a flip probability
+        5 % high moves it by 0.024."""
+        params = ThreeLevelParams(0.5, 0.0, 0.5)
+        mirror = scatter_point(params.as_two_level())
+        p = mirror.loss * params.gamma_es / (params.gamma_prime_g
+                                             + params.gamma_es)
+        runs = 8000
+        reflected = [run_transistor(params, 0, 10_000, seed=seed).reflected
+                     for seed in range(runs)]
+        expected = mirror.reflectance * (1.0 - p) / p
+        error = mirror.reflectance * math.sqrt(1.0 - p) / p / math.sqrt(runs)
+        assert abs(np.mean(reflected) - expected) <= 3.0 * error
+
     def test_deterministic_per_seed(self):
         a = run_transistor(PARAMS, 0, 10, seed=7)
         b = run_transistor(PARAMS, 0, 10, seed=7)
