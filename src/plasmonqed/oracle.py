@@ -10,12 +10,15 @@ J. Chem. Phys. 81, 3967 (1984)), and the final mode populations give
 The emitter couples to the two branches only through their even
 combination (right + left)/sqrt 2 (Shen & Fan, Opt. Lett. 30, 2001
 (2005)), so the propagator changes basis: the series runs on the emitter
-and the n even modes, one O(n) arrowhead matvec per term, while the n odd
-modes (right - left)/sqrt 2 never meet the emitter and only pick up their
-free phases. A run is cut into segments only where its non-guided loss
-needs it: the fewest equal ones whose |gamma_prime| tau stays at most 10,
-so a run with little loss is one series however long. One driver,
-_chebyshev, sums each series a block of terms at a time, for several times.
+and the n even modes, while the n odd modes (right - left)/sqrt 2 never
+meet the emitter and only pick up their free phases. The even block is an
+arrowhead, so each even mode is a Chebyshev recurrence of its own driven
+by the emitter, and one function, _chebyshev, advances the series _BLOCK
+terms at a time, for several times, by two real products with a table of
+Chebyshev polynomials of the detunings built once per grid and rate. A run
+is cut into segments only where its non-guided loss needs it: the fewest
+equal ones whose |gamma_prime| tau stays at most 10, so a run with little
+loss is one series however long.
 
 Conventions: linear dispersion around resonance, detunings delta_j on a
 symmetric offset grid (no mode sits exactly on resonance), per-mode coupling
@@ -63,9 +66,10 @@ _WINDOW_TOLERANCE = 5e-2
 _LOSS_PER_SEGMENT = 10.0
 # Smallest Bessel coefficient a Chebyshev series keeps.
 _BESSEL_FLOOR = 1e-17
-# Chebyshev terms summed per matrix product: 0.77 MB of rows at n = 2000.
-# 32 rows run 1-3 % faster but add 1.7 MB of peak memory, 24 rows 1.3 MB.
-_BLOCK = 24
+# Chebyshev terms per block. On oracle-convergence (2 CPUs, 4 runs each)
+# 48 read wall_s 0.037 s at 35.9 MB peak RSS; 32 read 0.043 s at 35.5 MB,
+# 64 0.041 s at 36.8 MB and 96 0.040 s at 38.1 MB.
+_BLOCK = 48
 
 
 @dataclass(frozen=True)
@@ -206,51 +210,85 @@ def _spectral_radius(grid: ModeGrid, gamma_prime: float) -> float:
 
 
 def _arrowhead(grid: ModeGrid, gamma_prime: float):
-    """R and the double step x -> 2 H_even x / R, written into ``out``."""
+    """R and the block recurrence of A = 2 H_even / R, once per grid and rate.
+
+    A = [[a0, g 1^T], [g 1, diag(d)]] with a0 = -i gamma_prime/R, and the
+    terms v_k = [s_k, w_k] obey v_{k+1} = A v_k - v_{k-1}. Over B = _BLOCK
+    terms from k0 each mode is a forced recurrence, w_{k0+b} = U_b w_{k0} -
+    U_{b-1} w_{k0-1} + g sum_{m<b} U_{b-1-m} s_{k0+m}, with U_b = U_b(d/2) the
+    Chebyshev polynomials of the second kind, |U_b| <= b + 1; so s_{k0+1}
+    ... s_{k0+B} are one linear map of s_{k0}, s_{k0-1} and the B sums
+    phi_b = 1.(U_b w_{k0} - U_{b-1} w_{k0-1}). Returns R, a0, g, the real
+    table [U_0 ... U_B] (B + 1 rows of n) and that B x (B + 2) map.
+    """
     radius = _spectral_radius(grid, gamma_prime)
-    diag2 = (2.0 / radius) * np.concatenate(
-        ([-0.5j * gamma_prime], grid.deltas))
-    g2 = -2.0 * math.sqrt(2.0) * grid.coupling / radius
-    # the emitter's row of 2 H_even / R; a dot takes half x[1:].sum()'s time
-    emitter = np.concatenate((diag2[:1], np.full(grid.n_modes, g2)))
+    corner = -1j * gamma_prime / radius
+    g = -2.0 * math.sqrt(2.0) * grid.coupling / radius
+    table = np.empty((_BLOCK + 1, grid.n_modes))
+    table[0] = 1.0
+    table[1] = (2.0 / radius) * grid.deltas
+    for b in range(2, _BLOCK + 1):
+        table[b] = table[1] * table[b - 1] - table[b - 2]
+    moments = g * g * table.sum(axis=1)
+    # rows s_{k0-1}, s_{k0}, ..., s_{k0+B} over [s_{k0}, s_{k0-1}, phi]
+    emitter = np.zeros((_BLOCK + 2, _BLOCK + 2), dtype=complex)
+    emitter[0, 1] = emitter[1, 0] = 1.0
+    for b in range(_BLOCK):
+        emitter[b + 2] = (corner * emitter[b + 1] - emitter[b]
+                          + moments[:b][::-1] @ emitter[1:b + 1])
+        emitter[b + 2, b + 2] += g
+    return radius, corner, g, table, emitter[2:]
 
-    def double_step(x, out):
-        np.multiply(diag2, x, out=out)
-        out += g2 * x[0]
-        out[0] = emitter.dot(x)
 
-    return radius, double_step
-
-
-def _chebyshev(double_step, y, radius: float, times) -> np.ndarray:
+def _chebyshev(series, y, times) -> np.ndarray:
     """exp(-i H t) y for each t in ``times``, as rows, from one Chebyshev series.
 
-    ``double_step(x, out)`` writes 2 H x / R into ``out``, ||H|| <= R, and
+    ``series`` is _arrowhead's, for H = R A/2 with ||H|| <= R, and
     exp(-i H t) y = sum_k (2 - delta_k0) (-i)^k J_k(R t) T_k(H/R) y (Tal-Ezer
     & Kosloff, J. Chem. Phys. 81, 3967 (1984)) up to the last order _bessel_j
-    keeps for the longest time; shorter times take 0 beyond their own. Each
-    term is written in place into a row of a _BLOCK-row block, and each full
-    block is added to all the results by one matrix product.
+    keeps for the longest time; shorter times take 0 beyond their own. The
+    terms v_k = T_k(H/R) y start from v_0 = y and v_{-1} = v_1 = A y/2 and
+    are never formed: a block of B terms is one real product of the table
+    with [w_{k0}, w_{k0-1}], the emitter map, and one real product of the
+    table with the rows that weight U_0 ... U_{B-1} into the block's share
+    of every result and into w_{k0+B} and w_{k0+B-1}.
     """
+    radius, corner, g, table, emitter = series
+    size, n_times = len(table) - 1, len(times)
     bessels = [_bessel_j(radius * t) for t in times]
     count = max(map(len, bessels))
-    coeffs = 2.0 * (-1j) ** np.arange(count) * np.array(
-        [np.pad(b, (0, count - len(b))) for b in bessels])
+    coeffs = np.zeros((n_times, math.ceil(count / size) * size), dtype=complex)
+    for row, bessel in zip(coeffs, bessels):
+        row[:len(bessel)] = 2.0 * (-1j) ** (np.arange(len(bessel)) % 4) * bessel
     coeffs[:, 0] /= 2.0
-    block = np.empty((_BLOCK, len(y)), dtype=complex)
-    rows = list(block)
-    older, last = rows[0], rows[1]
-    older[:] = y
-    double_step(y, last)
-    last *= 0.5
-    result = np.zeros((len(bessels), len(y)), dtype=complex)
-    for k0 in range(0, count, _BLOCK):
-        size = min(_BLOCK, count - k0)
-        for out in rows[2 if k0 == 0 else 0:size]:
-            double_step(last, out)
-            out -= older
-            older, last = last, out
-        result += coeffs[:, k0:k0 + size] @ block[:size]
+    s, s_prev = y[0], 0.5 * (corner * y[0] + g * y[1:].sum())
+    modes = np.stack((y[1:], 0.5 * (table[1] * y[1:] + g * y[0])),
+                     axis=1).astype(complex)
+    edge = table[:-4:-1] + 0j  # U_B, U_{B-1}, U_{B-2}, cast once
+    rows = np.zeros((size, 2 * n_times + 2), dtype=complex)
+    forced = np.zeros((size, n_times), dtype=complex)
+    result = np.zeros((n_times, len(y)), dtype=complex)
+    for k0 in range(0, coeffs.shape[1], size):
+        c = coeffs[:, k0:k0 + size]
+        dots = (table[:size] @ modes.view(float)).view(complex)
+        dots[1:, 0] -= dots[:-1, 1]
+        ahead = emitter @ np.concatenate(((s, s_prev), dots[:, 0]))
+        here = np.concatenate(([s], ahead[:-1]))
+        result[:, 0] += c @ here
+        # sum_m c_{m+j+1} s_m, the weight of g U_j in every block's share,
+        # is summed over the blocks and multiplied out after the last
+        forced[:-1] += np.transpose(
+            [np.convolve(weights, here[::-1])[size:] for weights in c])
+        rows[:, :n_times], rows[:-1, n_times:-2] = c.T, -c[:, 1:].T
+        rows[:, -2], rows[:-1, -1] = g * here[::-1], g * here[-2::-1]
+        sums = (table[:size].T @ rows.view(float)).view(complex)
+        w, w_prev = modes[:, 0], modes[:, 1]
+        result[:, 1:] += (sums[:, :n_times] * w[:, None]
+                          + sums[:, n_times:-2] * w_prev[:, None]).T
+        modes = np.stack((edge[0] * w - edge[1] * w_prev + sums[:, -2],
+                          edge[1] * w - edge[2] * w_prev + sums[:, -1]), axis=1)
+        s, s_prev = ahead[-1], ahead[-2]
+    result[:, 1:] += g * (table[:size].T @ forced.view(float)).view(complex).T
     return result
 
 
@@ -278,7 +316,7 @@ def _propagate(
     """
     if t_final < 0.0:
         raise ValueError(f"t_final = {t_final}: cannot propagate backward")
-    radius, double_step = _arrowhead(grid, gamma_prime)
+    series = _arrowhead(grid, gamma_prime)
     segments = max(1, math.ceil(abs(gamma_prime) * t_final
                                 / _LOSS_PER_SEGMENT))
     tau = t_final / segments
@@ -299,7 +337,7 @@ def _propagate(
     odd_norm = float(np.vdot(odd, odd).real)
     record(0.0, initial[0], float(np.vdot(initial, initial).real))
     for segment in range(segments):
-        even = _chebyshev(double_step, even, radius, [tau])[0]
+        even = _chebyshev(series, even, [tau])[0]
         record((segment + 1) * tau, even[0],
                float(np.vdot(even, even).real) + odd_norm)
     phase = np.exp(-1j * grid.deltas * t_final)
@@ -383,8 +421,7 @@ def golden_rule_rate(grid: ModeGrid, t_probe: float = 2.0) -> float:
             f"t_probe = {t_probe} reaches the mode-grid recurrence "
             f"(first return near t = {grid.recurrence_time:.1f}); "
             f"use a denser grid or a shorter probe")
-    radius, double_step = _arrowhead(grid, 0.0)
-    states = _chebyshev(double_step, np.eye(1, 1 + grid.n_modes)[0], radius,
+    states = _chebyshev(_arrowhead(grid, 0.0), np.eye(1, 1 + grid.n_modes)[0],
                         t_probe * np.array([0.25, 0.5, 1.0]))
     p1, p_mid, p2 = (np.abs(states[:, 0]) ** 2).tolist()
     if not (p_mid > 0.0 and 0.0 < p2 < p1):

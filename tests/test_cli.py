@@ -1,6 +1,7 @@
 import contextlib
 import io
 import math
+import os
 import shlex
 import subprocess
 import sys
@@ -154,31 +155,6 @@ class TestG2:
         _, _, rows = parse_dataset(proc.stdout)
         assert np.max(np.abs(np.array(rows)[1:, 1:] - 1.0)) < 1e-12
 
-    def test_overflowing_analytic_column_exits_2(self, capsys):
-        """(P^2 - 1)^2 at t = 0 overflows only far above the purcell domain,
-        so no column is computed (was dataset-non-finite, exit 3)."""
-        assert main(["g2", "--set", "purcell=1,1e100",
-                     "--set", "n_times=5"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            "config error: purcell: must lie in [0, 1e+06] or inf, got "
-            "1e+100\n")
-
-    def test_largest_transmitted_purcell_runs(self, capsys):
-        """The largest finite P of the domain runs on the transmitted
-        branch, its weak-field column (P^2 - 1)^2 at t = 0 included; the next
-        double exits 2 naming purcell."""
-        argv = ["g2", "--set", "n_times=21", "--set"]
-        assert main([*argv, "purcell=1e6"]) == 0
-        _, columns, rows = parse_dataset(capsys.readouterr().out.encode())
-        assert columns == ["t", "g2_P1e+06", "analytic_P1e+06"]
-        assert all(math.isfinite(v) for row in rows for v in row)
-        assert rows[0][2] == pytest.approx((1e12 - 1.0) ** 2, rel=1e-12)
-        above = float(np.nextafter(1e6, math.inf))
-        assert main([*argv, f"purcell={above!r}"]) == 2
-        assert capsys.readouterr().err.startswith("config error: purcell: ")
-
     def test_repeated_column_label_exits_2(self, capsys):
         assert main(["g2", "--set", "purcell=2,2.0000001",
                      "--set", "n_times=5"]) == 2
@@ -190,13 +166,6 @@ class TestG2:
         assert "config error: purcell" in capsys.readouterr().err
         assert main(["g2", "--set", "purcell=inf", "--set", "branch=reflected",
                      "--set", "n_times=5"]) == 0
-
-    def test_intensity_whose_square_underflows_exits_2(self, capsys):
-        """The drive lies far below the omega domain, so g2's intensity
-        check (a library guard) is not reached."""
-        assert main(["g2", "--set", "omega=1e-80", "--set", "n_times=5"]) == 2
-        assert capsys.readouterr().err == (
-            "config error: omega: must lie in [1e-08, 10000], got 1e-80\n")
 
     def test_worker_count_does_not_change_bytes(self):
         args = ("g2", "--set", "purcell=1,2", "--set", "n_times=21",
@@ -302,6 +271,17 @@ class TestOracle:
         _, _, rows = parse_dataset(proc.stdout)
         assert len(rows) == 4
         assert np.all(np.isfinite(rows))
+
+    def test_dataset_bytes_do_not_depend_on_blas_threads(self):
+        """The README oracle dataset is byte-identical on one and on two
+        OpenBLAS threads: each entry of the series' block products is
+        summed on one thread."""
+        runs = [subprocess.run(
+            [sys.executable, "-m", "plasmonqed.cli", "oracle"],
+            capture_output=True, check=True,
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads)).stdout
+            for threads in ("1", "2")]
+        assert runs[0] == runs[1]
 
     def test_uncleared_pulse_exits_3(self):
         proc = run_cli("oracle", "--set", "n_modes=250",
@@ -811,3 +791,31 @@ class TestDomains:
         message = declared_domain(KEY_TABLE[command][key])[2]
         assert capsys.readouterr().err == (
             f"config error: {key}: {message.format(value=end)}\n")
+
+    @pytest.mark.parametrize("command, key, text, value", [
+        # (P^2 - 1)^2 at t = 0 would overflow: no column is computed (was
+        # dataset-non-finite, exit 3)
+        pytest.param("g2", "purcell", "1,1e100", 1e100, id="g2-purcell-list"),
+        # the drive's intensity square would underflow: the domain stops it
+        # before g2's intensity check
+        pytest.param("g2", "omega", "1e-80", 1e-80, id="g2-omega"),
+    ])
+    def test_value_far_outside_the_domain_exits_2(self, command, key, text,
+                                                  value, capsys):
+        """A value where a layer's arithmetic would fail, alone or in a
+        list, exits 2 with the key's domain and writes nothing."""
+        assert main([command, "--set", f"{key}={text}",
+                     "--set", "n_times=5"]) == 2
+        message = declared_domain(KEY_TABLE[command][key])[2]
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: {key}: {message.format(value=value)}\n")
+
+    def test_largest_transmitted_purcell_keeps_its_column(self, capsys):
+        """At the largest finite P of the domain the transmitted branch
+        still writes its weak-field column, (P^2 - 1)^2 at t = 0."""
+        assert main(["g2", "--set", "n_times=21", "--set", "purcell=1e6"]) == 0
+        _, columns, rows = parse_dataset(capsys.readouterr().out.encode())
+        assert columns == ["t", "g2_P1e+06", "analytic_P1e+06"]
+        assert rows[0][2] == pytest.approx((1e12 - 1.0) ** 2, rel=1e-12)

@@ -11,6 +11,7 @@ from plasmonqed.core import (
     gaussian_spectrum,
     params_from_purcell,
 )
+from plasmonqed import oracle
 from plasmonqed.oracle import (
     _BESSEL_FLOOR,
     _BLOCK,
@@ -50,6 +51,18 @@ def _even_hamiltonian(grid, gamma_prime):
     h = np.diag(np.concatenate(([-0.5j * gamma_prime], grid.deltas)))
     h[0, 1:] = h[1:, 0] = -math.sqrt(2.0) * grid.coupling
     return h
+
+
+def _time_keeping(terms, radius):
+    """The time at which _bessel_j(radius t) keeps exactly ``terms``."""
+    x = 0.0
+    if terms > 1:
+        lo, x = 0.0, float(terms)
+        for _ in range(60):
+            mid = 0.5 * (lo + x)
+            lo, x = (mid, x) if len(_bessel_j(mid)) < terms else (lo, mid)
+    assert len(_bessel_j(x)) == terms
+    return x / radius
 
 
 def _random_state(size, seed):
@@ -170,22 +183,27 @@ class TestChebyshevPropagator:
 
     @pytest.mark.parametrize("gamma_prime", [0.048, 0.5])
     def test_one_series_at_several_times(self, gamma_prime):
-        """One call at three times equals three calls and the dense exponential."""
+        """One call at three times, whose coefficient lists end in the first,
+        second and third block, equals three calls and the dense exponential."""
         from scipy.linalg import expm
 
         grid = build_grid(P20, 40)
-        radius, double_step = _arrowhead(grid, gamma_prime)
+        series = _arrowhead(grid, gamma_prime)
         h = _even_hamiltonian(grid, gamma_prime)
         y0 = _random_state(1 + grid.n_modes, 3)
-        times = [0.7, 3.0, 10.0]
-        states = _chebyshev(double_step, y0, radius, times)
+        times = [_time_keeping(k, series[0])
+                 for k in (_BLOCK // 2, _BLOCK + 5, 2 * _BLOCK + 7)]
+        states = _chebyshev(series, y0, times)
         assert states.shape == (3, 1 + grid.n_modes)
         for t, state in zip(times, states):
-            single = _chebyshev(double_step, y0, radius, [t])[0]
+            single = _chebyshev(series, y0, [t])[0]
             assert np.max(np.abs(state - single)) < 1e-14
             assert np.max(np.abs(state - expm(-1j * t * h) @ y0)) < 1e-12
 
-    @pytest.mark.parametrize("terms", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 100])
+    # 23 to 25 terms end inside the first block
+    @pytest.mark.parametrize("terms", [
+        1, 23, 24, 25, 100,
+        _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
     def test_series_across_block_edges(self, terms):
         """Series that end inside, at and just past a block are all summed.
 
@@ -194,22 +212,41 @@ class TestChebyshevPropagator:
         """
         from scipy.linalg import expm
 
-        x = 0.0
-        if terms > 1:
-            lo, x = 0.0, float(terms)
-            for _ in range(60):
-                mid = 0.5 * (lo + x)
-                lo, x = (mid, x) if len(_bessel_j(mid)) < terms else (lo, mid)
-        assert len(_bessel_j(x)) == terms
         grid = build_grid(P20, 40)
-        radius, double_step = _arrowhead(grid, P20.gamma_prime)
+        series = _arrowhead(grid, P20.gamma_prime)
         y0 = _random_state(1 + grid.n_modes, terms)
-        t = x / radius
-        state = _chebyshev(double_step, y0, radius, [t])[0]
+        t = _time_keeping(terms, series[0])
+        state = _chebyshev(series, y0, [t])[0]
         exact = expm(-1j * t * _even_hamiltonian(grid, P20.gamma_prime)) @ y0
         assert np.max(np.abs(state - exact)) < 1e-12
         if terms == 1:
             assert np.array_equal(state, y0)
+
+    def test_segments_share_one_series_and_chain(self, monkeypatch):
+        """A four-segment run builds its series once and equals four
+        chained one-segment runs and the dense exponential."""
+        from scipy.linalg import expm
+
+        grid = build_grid(P20, 40)
+        gamma_prime = 0.5
+        t = 3.5 * _LOSS_PER_SEGMENT / gamma_prime
+        y0 = _random_state(1 + 2 * grid.n_modes, 17)
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return _arrowhead(*args)
+
+        monkeypatch.setattr(oracle, "_arrowhead", counted)
+        y, snapshots = _propagate(grid, y0, t, gamma_prime)
+        assert len(snapshots) == 5 and len(built) == 1
+        chained = y0
+        for _ in range(4):
+            chained, single = _propagate(grid, chained, t / 4, gamma_prime)
+            assert len(single) == 2
+        assert np.max(np.abs(y - chained)) < 1e-14
+        h = _full_hamiltonian(grid, gamma_prime)
+        assert np.max(np.abs(y - expm(-1j * t * h) @ y0)) < 1e-12
 
     @pytest.mark.parametrize("purcell", [0.01, 0.1, 1.0, 20.0])
     @pytest.mark.parametrize("t", [60.0, 87.0])
