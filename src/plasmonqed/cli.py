@@ -25,7 +25,6 @@ from .bloch import (SIGMA_GE, field_observables, saturation_closed_form,
 from .core import (InvariantViolation, gaussian_spectrum, params_from_purcell,
                    require)
 from .correlations import g2, g2_weakfield_analytic, jump_state
-from .oracle import build_grid, convergence_report
 from .scatter import scatter_point, scatter_spectrum
 
 __all__ = ["main"]
@@ -357,6 +356,8 @@ def cmd_jump(v, seed):
 
 
 def cmd_oracle(v, seed):
+    from .oracle import build_grid, convergence_report
+
     params, n_modes = params_from_purcell(v["purcell"]), v["n_modes"]
     with _naming(v, "n_modes, spacing"):
         grids = [build_grid(params, n, k_span=v["spacing"] * n)
@@ -376,8 +377,8 @@ def cmd_oracle(v, seed):
 
 
 def _three_level_from(purcell: float, gamma_es: float):
-    # `storage` is imported only by the subcommands that use it: building
-    # its dataclasses takes about 8 ms, which the others need not pay.
+    # `storage` and `oracle` are imported only by the subcommands that use
+    # them: their dataclasses take milliseconds the others need not pay.
     from .storage import ThreeLevelParams
 
     rates = params_from_purcell(purcell)

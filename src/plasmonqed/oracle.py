@@ -13,12 +13,13 @@ combination (right + left)/sqrt 2 (Shen & Fan, Opt. Lett. 30, 2001
 and the n even modes, while the n odd modes (right - left)/sqrt 2 never
 meet the emitter and only pick up their free phases. The even block is an
 arrowhead, so each even mode is a Chebyshev recurrence of its own driven
-by the emitter, and one function, _chebyshev, advances the series _BLOCK
-terms at a time, for several times, by two real products with a table of
-Chebyshev polynomials of the detunings built once per grid and rate. A run
-is cut into segments only where its non-guided loss needs it: the fewest
-equal ones whose |gamma_prime| tau stays at most 10, so a run with little
-loss is one series however long.
+by the emitter. One function, _chebyshev, sums the series for several
+times; its loop runs only the chain that must go block by block, _BLOCK
+terms at a time (two real products with a table of Chebyshev polynomials
+of the detunings, the emitter's next values, in-place mode and result
+updates), and the emitter's amplitude and driven share are summed after
+it. A run is cut into equal segments only where its non-guided loss
+needs it (|gamma_prime| tau <= 10 each), and they share one series.
 
 Conventions: linear dispersion around resonance, detunings delta_j on a
 symmetric offset grid (no mode sits exactly on resonance), per-mode coupling
@@ -66,9 +67,8 @@ _WINDOW_TOLERANCE = 5e-2
 _LOSS_PER_SEGMENT = 10.0
 # Smallest Bessel coefficient a Chebyshev series keeps.
 _BESSEL_FLOOR = 1e-17
-# Chebyshev terms per block. On oracle-convergence (2 CPUs, 4 runs each)
-# 48 read wall_s 0.037 s at 35.9 MB peak RSS; 32 read 0.043 s at 35.5 MB,
-# 64 0.041 s at 36.8 MB and 96 0.040 s at 38.1 MB.
+# Chebyshev terms per block: oracle-convergence's round, in process on 2
+# CPUs, took 0.028 s at 48, 0.030 s at 32 and 64 and 0.036 s at 96.
 _BLOCK = 48
 
 
@@ -181,13 +181,14 @@ def _bessel_j(x: float) -> np.ndarray:
         # recurrence's factor 2k/x would overflow
         return np.ones(1)
     top = int(x + 10.0 * x ** (1.0 / 3.0)) + 50
-    down = [0.0] * (top + 2)
-    down[top] = 1.0
+    down, behind, ahead = [1.0], 0.0, 1.0
     for k in range(top, 0, -1):
-        down[k - 1] = (2.0 * k / x) * down[k] - down[k + 1]
-        if abs(down[k - 1]) > 1e250:
+        behind, ahead = ahead, (2.0 * k / x) * ahead - behind
+        if abs(ahead) > 1e250:
             down = [v * 1e-250 for v in down]
-    values = np.array(down[:top + 1])
+            behind, ahead = behind * 1e-250, ahead * 1e-250
+        down.append(ahead)
+    values = np.array(down[::-1])
     values /= values[0] + 2.0 * np.sum(values[2::2])
     return values[:np.flatnonzero(np.abs(values) >= _BESSEL_FLOOR)[-1] + 1]
 
@@ -240,55 +241,80 @@ def _arrowhead(grid: ModeGrid, gamma_prime: float):
     return radius, corner, g, table, emitter[2:]
 
 
-def _chebyshev(series, y, times) -> np.ndarray:
-    """exp(-i H t) y for each t in ``times``, as rows, from one Chebyshev series.
+def _coefficients(series, times):
+    """_chebyshev's coefficients at ``times`` and its blocks' weight rows.
 
-    ``series`` is _arrowhead's, for H = R A/2 with ||H|| <= R, and
-    exp(-i H t) y = sum_k (2 - delta_k0) (-i)^k J_k(R t) T_k(H/R) y (Tal-Ezer
-    & Kosloff, J. Chem. Phys. 81, 3967 (1984)) up to the last order _bessel_j
-    keeps for the longest time; shorter times take 0 beyond their own. The
-    terms v_k = T_k(H/R) y start from v_0 = y and v_{-1} = v_1 = A y/2 and
-    are never formed: a block of B terms is one real product of the table
-    with [w_{k0}, w_{k0-1}], the emitter map, and one real product of the
-    table with the rows that weight U_0 ... U_{B-1} into the block's share
-    of every result and into w_{k0+B} and w_{k0+B-1}.
+    Row t of the (T, K) array is (2 - delta_k0) (-i)^k J_k(R t) up to the
+    last order _bessel_j keeps for R t and 0 beyond, K the longest such row
+    in whole blocks of B = _BLOCK terms. The (blocks, B, 2T + 2) array holds
+    each block's c and -c shifted by one, the weights of U_0 ... U_{B-1};
+    _chebyshev fills its last two columns.
     """
-    radius, corner, g, table, emitter = series
-    size, n_times = len(table) - 1, len(times)
+    radius, size = series[0], len(series[3]) - 1
     bessels = [_bessel_j(radius * t) for t in times]
     count = max(map(len, bessels))
-    coeffs = np.zeros((n_times, math.ceil(count / size) * size), dtype=complex)
+    coeffs = np.zeros((len(times), math.ceil(count / size) * size), complex)
     for row, bessel in zip(coeffs, bessels):
         row[:len(bessel)] = 2.0 * (-1j) ** (np.arange(len(bessel)) % 4) * bessel
     coeffs[:, 0] /= 2.0
-    s, s_prev = y[0], 0.5 * (corner * y[0] + g * y[1:].sum())
-    modes = np.stack((y[1:], 0.5 * (table[1] * y[1:] + g * y[0])),
-                     axis=1).astype(complex)
-    edge = table[:-4:-1] + 0j  # U_B, U_{B-1}, U_{B-2}, cast once
-    rows = np.zeros((size, 2 * n_times + 2), dtype=complex)
-    forced = np.zeros((size, n_times), dtype=complex)
+    c = coeffs.reshape(len(times), -1, size).transpose(1, 2, 0)
+    rows = np.zeros(c.shape[:2] + (2 * len(times) + 2,), dtype=complex)
+    rows[:, :, :len(times)], rows[:, :-1, len(times):-2] = c, -c[:, 1:]
+    return coeffs, rows
+
+
+def _chebyshev(series, weights, y) -> np.ndarray:
+    """exp(-i H t) y for each time of ``weights``, as rows, from one series.
+
+    ``series`` is _arrowhead's, for H = R A/2 with ||H|| <= R, ``weights``
+    _coefficients', and exp(-i H t) y = sum_k (2 - delta_k0) (-i)^k J_k(R t)
+    T_k(H/R) y (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)). The
+    terms v_k = [s_k, w_k] = T_k(H/R) y, from v_0 = y and v_{-1} = v_1 =
+    A y/2, are never formed. A block of B terms is a real product of the
+    table with [w_{k0}, w_{k0-1}], the emitter map to s_{k0+1} ... s_{k0+B},
+    and a real product of the table with the block's weight rows (forcing
+    columns g s reversed), from which the mode results and [w_{k0+B},
+    w_{k0+B-1}] are updated in place. After the loop c_e = sum_k c_k s_k,
+    and sum_m c_{m+j+1} s_m, the weight of g U_j in the mode results, is the
+    (j+1)-th superdiagonal sum of s^T C over the blocks: one product each.
+    """
+    _, corner, g, table, emitter = series
+    coeffs, rows = weights
+    (n_times, count), size = coeffs.shape, rows.shape[1]
+    u, edge = table[:size], table[:-4:-1] + 0j  # U_B, U_{B-1}, U_{B-2}
+    s = np.empty(count + 1, dtype=complex)  # s_0 ... s_K
+    ends = np.empty(size + 2, dtype=complex)  # s_{k0}, s_{k0-1}, phi
+    s[0], ends[1] = y[0], 0.5 * (corner * y[0] + g * y[1:].sum())
+    modes, spare = np.empty((2, len(y) - 1, 2), dtype=complex)
+    modes[:, 0], modes[:, 1] = y[1:], 0.5 * (table[1] * y[1:] + g * y[0])
+    scratch = np.empty(len(y) - 1, dtype=complex)
     result = np.zeros((n_times, len(y)), dtype=complex)
-    for k0 in range(0, coeffs.shape[1], size):
-        c = coeffs[:, k0:k0 + size]
-        dots = (table[:size] @ modes.view(float)).view(complex)
-        dots[1:, 0] -= dots[:-1, 1]
-        ahead = emitter @ np.concatenate(((s, s_prev), dots[:, 0]))
-        here = np.concatenate(([s], ahead[:-1]))
-        result[:, 0] += c @ here
-        # sum_m c_{m+j+1} s_m, the weight of g U_j in every block's share,
-        # is summed over the blocks and multiplied out after the last
-        forced[:-1] += np.transpose(
-            [np.convolve(weights, here[::-1])[size:] for weights in c])
-        rows[:, :n_times], rows[:-1, n_times:-2] = c.T, -c[:, 1:].T
-        rows[:, -2], rows[:-1, -1] = g * here[::-1], g * here[-2::-1]
-        sums = (table[:size].T @ rows.view(float)).view(complex)
+    for k0, block in zip(range(0, count, size), rows):
+        dots = (u @ modes.view(float)).view(complex)
+        ends[0], ends[2] = s[k0], dots[0, 0]
+        np.subtract(dots[1:, 0], dots[:-1, 1], out=ends[3:])
+        np.matmul(emitter, ends, out=s[k0 + 1:k0 + size + 1])
+        np.multiply(s[k0:k0 + size][::-1], g, out=block[:, -2])
+        block[:-1, -1] = block[1:, -2]
+        sums = (u.T @ block.view(float)).view(complex)
         w, w_prev = modes[:, 0], modes[:, 1]
-        result[:, 1:] += (sums[:, :n_times] * w[:, None]
-                          + sums[:, n_times:-2] * w_prev[:, None]).T
-        modes = np.stack((edge[0] * w - edge[1] * w_prev + sums[:, -2],
-                          edge[1] * w - edge[2] * w_prev + sums[:, -1]), axis=1)
-        s, s_prev = ahead[-1], ahead[-2]
-    result[:, 1:] += g * (table[:size].T @ forced.view(float)).view(complex).T
+        for t, out in enumerate(result[:, 1:]):
+            out += np.multiply(sums[:, t], w, out=scratch)
+            out += np.multiply(sums[:, n_times + t], w_prev, out=scratch)
+        for j, col in enumerate(spare.T):
+            np.multiply(edge[j], w, out=col)
+            col -= np.multiply(edge[j + 1], w_prev, out=scratch)
+            col += sums[:, j - 2]
+        modes, spare = spare, modes
+        ends[1] = s[k0 + size - 1]
+    result[:, 0] = coeffs @ s[:-1]
+    # read in rows of B + 1, the flattened strict upper triangle of s^T C
+    # has its d-th superdiagonal in column d
+    upper = np.triu(s[:-1].reshape(-1, size).T @ coeffs.reshape(
+        n_times, -1, size), 1).reshape(n_times, -1)[:, :size * size - 1]
+    forced = upper.reshape(n_times, size - 1, size + 1).sum(axis=1)
+    result[:, 1:] += g * (table[:size - 1].T @ forced[:, 1:size].T.copy(
+        ).view(float)).view(complex).T
     return result
 
 
@@ -320,6 +346,7 @@ def _propagate(
     segments = max(1, math.ceil(abs(gamma_prime) * t_final
                                 / _LOSS_PER_SEGMENT))
     tau = t_final / segments
+    weights = _coefficients(series, [tau])
     root2 = math.sqrt(2.0)
 
     snapshots: list[ExcitationState] = []
@@ -337,7 +364,7 @@ def _propagate(
     odd_norm = float(np.vdot(odd, odd).real)
     record(0.0, initial[0], float(np.vdot(initial, initial).real))
     for segment in range(segments):
-        even = _chebyshev(series, even, [tau])[0]
+        even = _chebyshev(series, weights, even)[0]
         record((segment + 1) * tau, even[0],
                float(np.vdot(even, even).real) + odd_norm)
     phase = np.exp(-1j * grid.deltas * t_final)
@@ -421,8 +448,9 @@ def golden_rule_rate(grid: ModeGrid, t_probe: float = 2.0) -> float:
             f"t_probe = {t_probe} reaches the mode-grid recurrence "
             f"(first return near t = {grid.recurrence_time:.1f}); "
             f"use a denser grid or a shorter probe")
-    states = _chebyshev(_arrowhead(grid, 0.0), np.eye(1, 1 + grid.n_modes)[0],
-                        t_probe * np.array([0.25, 0.5, 1.0]))
+    series = _arrowhead(grid, 0.0)
+    weights = _coefficients(series, t_probe * np.array([0.25, 0.5, 1.0]))
+    states = _chebyshev(series, weights, np.eye(1, 1 + grid.n_modes)[0])
     p1, p_mid, p2 = (np.abs(states[:, 0]) ** 2).tolist()
     if not (p_mid > 0.0 and 0.0 < p2 < p1):
         raise ValueError(

@@ -469,6 +469,17 @@ print(*loaded)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False"] * 9
 
+    def test_import_loads_neither_oracle_nor_storage(self):
+        """Only the subcommands that use them import oracle and storage, so
+        every other CLI process skips building their dataclasses."""
+        script = ("import sys, plasmonqed.cli; print("
+                  "'plasmonqed.oracle' in sys.modules, "
+                  "'plasmonqed.storage' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False", "False"]
+
 
 class TestPlumbing:
     def test_byte_determinism(self):

@@ -50,7 +50,7 @@ def _oracle_command(monkeypatch, error):
     """cmd_oracle on a convergence report whose last error is ``error``."""
     report = oracle.ConvergenceReport([(250, error)], (0.9, 0.1, 0.0), [],
                                       True)
-    monkeypatch.setattr(cli, "convergence_report",
+    monkeypatch.setattr(oracle, "convergence_report",
                         lambda *args, **kwargs: report)
     cli.cmd_oracle(cli._parse_config("oracle", dict(cli._DEFAULTS["oracle"])),
                    0)
