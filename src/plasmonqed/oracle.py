@@ -13,13 +13,14 @@ combination (right + left)/sqrt 2 (Shen & Fan, Opt. Lett. 30, 2001
 and the n even modes, while the n odd modes (right - left)/sqrt 2 never
 meet the emitter and only pick up their free phases. The even block is an
 arrowhead, so each even mode is a Chebyshev recurrence of its own driven
-by the emitter. One function, _chebyshev, sums the series for several
-times; its loop runs only the chain that must go block by block, _BLOCK
-terms at a time (two real products with a table of Chebyshev polynomials
-of the detunings, the emitter's next values, in-place mode and result
-updates), and the emitter's amplitude and driven share are summed after
-it. A run is cut into equal segments only where its non-guided loss
-needs it (|gamma_prime| tau <= 10 each), and they share one series.
+by the emitter. One function, _chebyshev, sums the series for one time,
+and later times are reached by carrying the state forward. Its loop runs
+only the chain that must go block by block, _BLOCK terms at a time (two
+real products with a table of Chebyshev polynomials of the detunings, the
+emitter's next values, in-place mode and result updates), and the
+emitter's amplitude and driven share are summed after it. A run is cut
+into equal segments only where its non-guided loss needs it
+(|gamma_prime| tau <= 10 each), and they share one series.
 
 Conventions: linear dispersion around resonance, detunings delta_j on a
 symmetric offset grid (no mode sits exactly on resonance), per-mode coupling
@@ -241,80 +242,76 @@ def _arrowhead(grid: ModeGrid, gamma_prime: float):
     return radius, corner, g, table, emitter[2:]
 
 
-def _coefficients(series, times):
-    """_chebyshev's coefficients at ``times`` and its blocks' weight rows.
+def _coefficients(series, tau):
+    """_chebyshev's weight rows for exp(-i H tau), B = _BLOCK terms a block.
 
-    Row t of the (T, K) array is (2 - delta_k0) (-i)^k J_k(R t) up to the
-    last order _bessel_j keeps for R t and 0 beyond, K the longest such row
-    in whole blocks of B = _BLOCK terms. The (blocks, B, 2T + 2) array holds
-    each block's c and -c shifted by one, the weights of U_0 ... U_{B-1};
-    _chebyshev fills its last two columns.
+    c_k = (2 - delta_k0) (-i)^k J_k(R tau) up to the last order _bessel_j
+    keeps for R tau, and 0 beyond it to a whole number of blocks. The
+    (blocks, B, 4) array holds each block's c in column 0 and -c shifted by
+    one in column 1, the weights of U_0 ... U_{B-1}; _chebyshev fills its
+    last two columns.
     """
     radius, size = series[0], len(series[3]) - 1
-    bessels = [_bessel_j(radius * t) for t in times]
-    count = max(map(len, bessels))
-    coeffs = np.zeros((len(times), math.ceil(count / size) * size), complex)
-    for row, bessel in zip(coeffs, bessels):
-        row[:len(bessel)] = 2.0 * (-1j) ** (np.arange(len(bessel)) % 4) * bessel
-    coeffs[:, 0] /= 2.0
-    c = coeffs.reshape(len(times), -1, size).transpose(1, 2, 0)
-    rows = np.zeros(c.shape[:2] + (2 * len(times) + 2,), dtype=complex)
-    rows[:, :, :len(times)], rows[:, :-1, len(times):-2] = c, -c[:, 1:]
-    return coeffs, rows
+    bessel = _bessel_j(radius * tau)
+    rows = np.zeros((math.ceil(len(bessel) / size), size, 4), dtype=complex)
+    c = rows[:, :, 0]
+    c.flat[:len(bessel)] = 2.0 * (-1j) ** (np.arange(len(bessel)) % 4) * bessel
+    c[0, 0] /= 2.0
+    rows[:, :-1, 1] = -c[:, 1:]
+    return rows
 
 
-def _chebyshev(series, weights, y) -> np.ndarray:
-    """exp(-i H t) y for each time of ``weights``, as rows, from one series.
+def _chebyshev(series, rows, y) -> np.ndarray:
+    """exp(-i H tau) y, by the series whose weight rows ``rows`` holds.
 
-    ``series`` is _arrowhead's, for H = R A/2 with ||H|| <= R, ``weights``
-    _coefficients', and exp(-i H t) y = sum_k (2 - delta_k0) (-i)^k J_k(R t)
-    T_k(H/R) y (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)). The
-    terms v_k = [s_k, w_k] = T_k(H/R) y, from v_0 = y and v_{-1} = v_1 =
-    A y/2, are never formed. A block of B terms is a real product of the
-    table with [w_{k0}, w_{k0-1}], the emitter map to s_{k0+1} ... s_{k0+B},
-    and a real product of the table with the block's weight rows (forcing
-    columns g s reversed), from which the mode results and [w_{k0+B},
-    w_{k0+B-1}] are updated in place. After the loop c_e = sum_k c_k s_k,
-    and sum_m c_{m+j+1} s_m, the weight of g U_j in the mode results, is the
-    (j+1)-th superdiagonal sum of s^T C over the blocks: one product each.
+    ``series`` is _arrowhead's, for H = R A/2 with ||H|| <= R, ``rows``
+    _coefficients' for tau, and exp(-i H tau) y = sum_k (2 - delta_k0) (-i)^k
+    J_k(R tau) T_k(H/R) y (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967
+    (1984)). The terms v_k = [s_k, w_k] = T_k(H/R) y, from v_0 = y and
+    v_{-1} = v_1 = A y/2, are never formed. A block of B terms is a real
+    product of the table with [w_{k0}, w_{k0-1}], the emitter map to
+    s_{k0+1} ... s_{k0+B}, and a real product of the table with the block's
+    weight rows (forcing columns g s reversed), from which the mode result
+    and [w_{k0+B}, w_{k0+B-1}] are updated in place. After the loop c_e =
+    sum_k c_k s_k, and sum_m c_{m+j+1} s_m, the weight of g U_j in the mode
+    result, is the (j+1)-th superdiagonal sum of s^T C over the blocks: one
+    product each.
     """
     _, corner, g, table, emitter = series
-    coeffs, rows = weights
-    (n_times, count), size = coeffs.shape, rows.shape[1]
+    blocks, size = rows.shape[:2]
     u, edge = table[:size], table[:-4:-1] + 0j  # U_B, U_{B-1}, U_{B-2}
-    s = np.empty(count + 1, dtype=complex)  # s_0 ... s_K
+    s = np.empty(blocks * size + 1, dtype=complex)  # s_0 ... s_K
     ends = np.empty(size + 2, dtype=complex)  # s_{k0}, s_{k0-1}, phi
     s[0], ends[1] = y[0], 0.5 * (corner * y[0] + g * y[1:].sum())
     modes, spare = np.empty((2, len(y) - 1, 2), dtype=complex)
     modes[:, 0], modes[:, 1] = y[1:], 0.5 * (table[1] * y[1:] + g * y[0])
     scratch = np.empty(len(y) - 1, dtype=complex)
-    result = np.zeros((n_times, len(y)), dtype=complex)
-    for k0, block in zip(range(0, count, size), rows):
+    result = np.zeros(len(y), dtype=complex)
+    for k0, block in zip(range(0, blocks * size, size), rows):
         dots = (u @ modes.view(float)).view(complex)
         ends[0], ends[2] = s[k0], dots[0, 0]
         np.subtract(dots[1:, 0], dots[:-1, 1], out=ends[3:])
         np.matmul(emitter, ends, out=s[k0 + 1:k0 + size + 1])
-        np.multiply(s[k0:k0 + size][::-1], g, out=block[:, -2])
-        block[:-1, -1] = block[1:, -2]
+        np.multiply(s[k0:k0 + size][::-1], g, out=block[:, 2])
+        block[:-1, 3] = block[1:, 2]
         sums = (u.T @ block.view(float)).view(complex)
         w, w_prev = modes[:, 0], modes[:, 1]
-        for t, out in enumerate(result[:, 1:]):
-            out += np.multiply(sums[:, t], w, out=scratch)
-            out += np.multiply(sums[:, n_times + t], w_prev, out=scratch)
+        result[1:] += np.multiply(sums[:, 0], w, out=scratch)
+        result[1:] += np.multiply(sums[:, 1], w_prev, out=scratch)
         for j, col in enumerate(spare.T):
             np.multiply(edge[j], w, out=col)
             col -= np.multiply(edge[j + 1], w_prev, out=scratch)
-            col += sums[:, j - 2]
+            col += sums[:, j + 2]
         modes, spare = spare, modes
         ends[1] = s[k0 + size - 1]
-    result[:, 0] = coeffs @ s[:-1]
+    c = rows[:, :, 0].copy()
+    result[0] = c.reshape(-1) @ s[:-1]
     # read in rows of B + 1, the flattened strict upper triangle of s^T C
     # has its d-th superdiagonal in column d
-    upper = np.triu(s[:-1].reshape(-1, size).T @ coeffs.reshape(
-        n_times, -1, size), 1).reshape(n_times, -1)[:, :size * size - 1]
-    forced = upper.reshape(n_times, size - 1, size + 1).sum(axis=1)
-    result[:, 1:] += g * (table[:size - 1].T @ forced[:, 1:size].T.copy(
-        ).view(float)).view(complex).T
+    upper = np.triu(s[:-1].reshape(-1, size).T @ c, 1).reshape(-1)
+    forced = upper[:size * size - 1].reshape(size - 1, size + 1).sum(axis=0)
+    result[1:] += g * (table[:size - 1].T @ forced[1:size].view(float)
+                       .reshape(-1, 2)).view(complex)[:, 0]
     return result
 
 
@@ -346,7 +343,7 @@ def _propagate(
     segments = max(1, math.ceil(abs(gamma_prime) * t_final
                                 / _LOSS_PER_SEGMENT))
     tau = t_final / segments
-    weights = _coefficients(series, [tau])
+    rows = _coefficients(series, tau)
     root2 = math.sqrt(2.0)
 
     snapshots: list[ExcitationState] = []
@@ -364,7 +361,7 @@ def _propagate(
     odd_norm = float(np.vdot(odd, odd).real)
     record(0.0, initial[0], float(np.vdot(initial, initial).real))
     for segment in range(segments):
-        even = _chebyshev(series, weights, even)[0]
+        even = _chebyshev(series, rows, even)
         record((segment + 1) * tau, even[0],
                float(np.vdot(even, even).real) + odd_norm)
     phase = np.exp(-1j * grid.deltas * t_final)
@@ -432,9 +429,10 @@ def golden_rule_rate(grid: ModeGrid, t_probe: float = 2.0) -> float:
     """Measured emission rate into the grid modes from an excited emitter.
 
     Evaluates pure decay (no pulse, no non-guided loss) of ``[c_e, e]`` at
-    t_probe/4, t_probe/2 and t_probe from one Chebyshev series, and fits
-    the slope of ln |c_e|^2 from t_probe/4 to t_probe; on a calibrated grid
-    this reproduces gamma_pl.
+    t_probe/4, t_probe/2 and t_probe, carrying the state by Chebyshev
+    series over t_probe/4, t_probe/4 and t_probe/2, and fits the slope of
+    ln |c_e|^2 from t_probe/4 to t_probe; on a calibrated grid this
+    reproduces gamma_pl.
 
     t_probe must be positive and, like a scattering run, stay within 0.8 of
     the recurrence at 2 pi / spacing; a probe too short for |c_e|^2 to fall
@@ -449,9 +447,13 @@ def golden_rule_rate(grid: ModeGrid, t_probe: float = 2.0) -> float:
             f"(first return near t = {grid.recurrence_time:.1f}); "
             f"use a denser grid or a shorter probe")
     series = _arrowhead(grid, 0.0)
-    weights = _coefficients(series, t_probe * np.array([0.25, 0.5, 1.0]))
-    states = _chebyshev(series, weights, np.eye(1, 1 + grid.n_modes)[0])
-    p1, p_mid, p2 = (np.abs(states[:, 0]) ** 2).tolist()
+    quarter = _coefficients(series, 0.25 * t_probe)
+    y = np.eye(1, 1 + grid.n_modes)[0]
+    populations = []
+    for rows in (quarter, quarter, _coefficients(series, 0.5 * t_probe)):
+        y = _chebyshev(series, rows, y)
+        populations.append(float(abs(y[0]) ** 2))
+    p1, p_mid, p2 = populations
     if not (p_mid > 0.0 and 0.0 < p2 < p1):
         raise ValueError(
             f"t_probe = {t_probe} shows no decay: |c_e|^2 = {p1!r} at "

@@ -93,8 +93,9 @@ _GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 _TAYLOR_REMAINDER = (_TAYLOR_RADIUS**_TAYLOR_DEGREE
                      / math.factorial(_TAYLOR_DEGREE + 1)
                      * math.exp(_TAYLOR_RADIUS))
-# Sample intervals whose Magnus steps are built together: a block's complex
-# temporaries (64 KB) stay below glibc's 128 KB mmap threshold and in cache.
+# Sample intervals whose Magnus steps are built and scanned together: a
+# block's complex temporaries (64 KB) stay below glibc's 128 KB mmap
+# threshold and in cache.
 _BLOCK = 4096
 
 
@@ -344,9 +345,10 @@ def _evolve(params: ThreeLevelParams, control: TimeSeries,
     terms are the scalar 0, as its spline would be. The steps are built in
     blocks of ``_BLOCK`` = 4096 intervals, each with the degree and
     squarings of its own norm, so that their temporaries come from the heap
-    and stay in cache; up to 4097 samples are one block. One
-    recursive-doubling scan over all the steps carries the state (c_e, c_s)
-    from (0, c_s0) to every sample.
+    and stay in cache; up to 4097 samples are one block. A recursive-doubling
+    scan over each block carries the state (c_e, c_s) to its samples, from
+    (0, c_s0) in the first block and from the state the block before left
+    in each later one.
     lost and out are (gamma'_g + gamma_es) int |c_e|^2 and
     int |E - sqrt(gamma_pl) c_e|^2 by the cumulative rule on the samples.
     """
@@ -356,12 +358,8 @@ def _evolve(params: ThreeLevelParams, control: TimeSeries,
     om1, om2 = _at_gauss_nodes(control.values)
     drive_nodes = _at_gauss_nodes(root_pl * drive) if np.any(drive) else None
     weight = math.sqrt(3.0) / 12.0 * h * h
-    # a single block's maps are the steps themselves; more are gathered
-    # into full-length arrays for the one scan
-    n = len(om1)
-    steps = [np.empty(n, dtype=complex) for _ in range(6)] \
-        if n > _BLOCK else None
-    for start in range(0, n, _BLOCK):
+    c_e, c_s = [[0.0]], [[c_s0]]
+    for start in range(0, len(om1), _BLOCK):
         block = slice(start, start + _BLOCK)
         # off-diagonal entries i Omega, i conj(Omega) of A at the two nodes
         a1, a2 = 1j * om1[block], 1j * om2[block]
@@ -380,14 +378,10 @@ def _evolve(params: ThreeLevelParams, control: TimeSeries,
             -weight * commutator,
             *forcing,
         ))
-        if steps is None:
-            steps = maps
-        else:
-            for whole, part in zip(steps, maps):
-                whole[block] = part
-    c_e, c_s = _scan_states(steps, (0.0, c_s0))
-    c_e = np.concatenate([[0.0], c_e])
-    c_s = np.concatenate([[c_s0], c_s])
+        e, s = _scan_states(maps, (c_e[-1][-1], c_s[-1][-1]))
+        c_e.append(e)
+        c_s.append(s)
+    c_e, c_s = np.concatenate(c_e), np.concatenate(c_s)
     if not (np.all(np.isfinite(c_e)) and np.all(np.isfinite(c_s))):
         raise InvariantViolation("amplitude-integration",
                                  "non-finite amplitudes")
