@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _TAYLOR_DEGREE, _TAYLOR_RADIUS, EmitterParams, require
+from .core import _TAYLOR_DEGREE, _TAYLOR_RADIUS, EmitterParams
 
 __all__ = [
     "SIGMA_GE",
@@ -38,7 +38,6 @@ __all__ = [
     "field_operator",
     "field_observables",
     "saturation_closed_form",
-    "validate_density_matrix",
 ]
 
 # Basis ordering: index 0 = |g>, index 1 = |e>.
@@ -56,11 +55,6 @@ _EIG_GAP_LIMIT = 1e-6
 # decayed below e^-40 = 4e-18 by then; at longer delays the zero eigenvalue,
 # which eig returns as about 1e-17, would drift exp(lambda t) away from 1.
 _SETTLED_TIME = 80.0
-# limits of validate_density_matrix: |rho - rho^+|, |Tr rho - 1| and the
-# lowest eigenvalue
-_HERM_TOL = 1e-12
-_TRACE_TOL = 1e-12
-_EIG_FLOOR = -1e-10
 
 
 def hamiltonian(params: EmitterParams) -> np.ndarray:
@@ -229,16 +223,3 @@ def saturation_closed_form(purcell: float, omega_over_gamma: float) -> tuple[flo
         r = (1.0 + 1.0 / purcell) ** (-2) / (1.0 + x2)
     return t, r
 
-
-def validate_density_matrix(rho: np.ndarray) -> None:
-    """Raise InvariantViolation unless rho is a valid density matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    skew = float(np.max(np.abs(rho - rho.conj().T)))
-    require("density-matrix-hermiticity", skew, _HERM_TOL,
-            f"max|rho - rho^+| = {skew!r}")
-    trace_error = float(abs(np.trace(rho) - 1.0))
-    require("density-matrix-trace", trace_error, _TRACE_TOL,
-            f"|Tr rho - 1| = {trace_error!r}")
-    lowest = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    require("density-matrix-positivity", lowest, _EIG_FLOOR,
-            f"lowest eigenvalue {lowest!r}")

@@ -16,9 +16,10 @@ Generation starts in |s> with no drive (E = 0); storage starts in |g> and
 is driven by the incoming photon. Both integrate this one system, by a
 4th-order Magnus step per sample interval; the control that emits a given
 pulse comes from inverting it in closed form on the same samples. Both run
-on numpy alone. The derivative, the running integral and the spline on the
-samples all continue them past each end by the cubic through their 4
-outermost values, so every path needs at least 4 samples.
+on numpy alone. Every rule on the samples (the derivative, the running
+integral and the values at the Gauss nodes) is a fixed local stencil on the
+samples continued past each end by the cubic through their 4 outermost
+values, so every path needs at least 4 samples.
 
 Storage with the time reverse of a generation control and pulse is impedance
 matched: a unit photon is stored with probability gamma_pl/Gamma, which is
@@ -65,25 +66,22 @@ _CS_GUARD = 1e-6
 _BOOKKEEPING_TOL = 1e-6
 _FEASIBILITY_MARGIN = 1e-4
 # largest control phase advance per sample the inversion resolves: at 1.86
-# rad the regenerated pulse misses its target by L2 3.0e-4, at 3.72 rad by
-# 8.1e-3 (P = 20, delta = 0.5, duration 10)
+# rad the regenerated pulse misses its target by L2 2.2e-4, at 3.72 rad by
+# 8.0e-3 (P = 20, delta = 0.5, duration 10)
 _MAX_PHASE_STEP = 2.0
 
-# Cubic-spline interpolation on the uniform grid: the B-spline coefficients
-# are the samples filtered by sqrt(3) z^|k|, z = sqrt(3) - 2, whose taps fall
-# below 1e-16 beyond |k| = 28, which puts the spline within a few 1e-9 of the
-# not-a-knot one.
-_SPLINE_TAPS = 28
-_PREFILTER = math.sqrt(3.0) * (math.sqrt(3.0) - 2.0) ** np.abs(
-    np.arange(-_SPLINE_TAPS, _SPLINE_TAPS + 1))
-# Lagrange weights of samples 0..3 at the 30 points before the first, the
+# Lagrange weights of samples i - 4 ... i + 5 at the Gauss-Legendre nodes
+# i + 1/2 -+ sqrt(3)/6 of interval i, a degree-9 interpolant (_at_gauss_nodes)
+_NODE_WEIGHTS = np.array([
+    [math.prod((x - m) / (j - m) for m in range(-4, 6) if m != j)
+     for j in range(-4, 6)]
+    for x in (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)])
+# Lagrange weights of samples 0..3 at the 4 points before the first, the
 # rows of the cubic end extension (_extend)
 _END_CUBIC = np.array([
     [math.prod((x - m) / (j - m) for m in range(4) if m != j)
      for j in range(4)]
-    for x in range(-_SPLINE_TAPS - 2, 0)])
-# the two Gauss-Legendre nodes of a sample interval, as fractions of it
-_GAUSS_NODES = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+    for x in range(-4, 0)])
 
 # Remainder bound of phi(W) at the largest Taylor degree and scaled norm of
 # each Magnus step's exponential, 0.5^12/13! e^0.5 = 6.5e-14. Each call
@@ -219,18 +217,12 @@ def _cumulative(values: np.ndarray, dt: float) -> np.ndarray:
 
 
 def _at_gauss_nodes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cubic spline through the samples at both Gauss nodes of each interval."""
-    extended = _extend(values, len(_END_CUBIC))
-    # coeffs[j] is the B-spline coefficient of sample j - 2
-    coeffs = np.convolve(extended, _PREFILTER, mode="valid")
+    """Values at both Gauss nodes of each interval i: the degree-9 interpolant
+    through samples i - 4 ... i + 5, on the samples extended by 4."""
+    extended = _extend(values, 4)
     n = len(values)
-    nodes = []
-    for theta in _GAUSS_NODES:
-        weights = ((1.0 - theta) ** 3, 4.0 - 6.0 * theta**2 + 3.0 * theta**3,
-                   1.0 + 3.0 * theta * (1.0 + theta - theta**2), theta**3)
-        nodes.append(sum(w / 6.0 * coeffs[k:n - 1 + k]
-                         for k, w in enumerate(weights, start=1)))
-    return nodes[0], nodes[1]
+    return tuple(sum(w * extended[k:n - 1 + k] for k, w in enumerate(row))
+                 for row in _NODE_WEIGHTS)
 
 
 def _compose(later, earlier):
@@ -338,17 +330,17 @@ def _evolve(params: ThreeLevelParams, control: TimeSeries,
 
     as the affine system on [c_e, c_s, 1], one 4th-order Magnus step per
     sample interval (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)):
-    Omega and the drive E are taken at the interval's two Gauss nodes from a
-    cubic spline through the samples, and the step is
-    exp(h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1]), a Taylor sum whose degree
-    the step norm sets. An all-zero drive (generation) is not splined; its
-    terms are the scalar 0, as its spline would be. The steps are built in
-    blocks of ``_BLOCK`` = 4096 intervals, each with the degree and
-    squarings of its own norm, so that their temporaries come from the heap
-    and stay in cache; up to 4097 samples are one block. A recursive-doubling
-    scan over each block carries the state (c_e, c_s) to its samples, from
-    (0, c_s0) in the first block and from the state the block before left
-    in each later one.
+    Omega and the drive E are taken at the interval's two Gauss nodes from
+    the degree-9 interpolant through the 10 samples nearest it, and the step
+    is exp(h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1]), a Taylor sum whose
+    degree the step norm sets. An all-zero drive (generation) is not
+    interpolated; its terms are the scalar 0, as its interpolant would be.
+    The steps are built in blocks of ``_BLOCK`` = 4096 intervals, each with
+    the degree and squarings of its own norm, so that their temporaries come
+    from the heap and stay in cache; up to 4097 samples are one block. A
+    recursive-doubling scan over each block carries the state (c_e, c_s) to
+    its samples, from (0, c_s0) in the first block and from the state the
+    block before left in each later one.
     lost and out are (gamma'_g + gamma_es) int |c_e|^2 and
     int |E - sqrt(gamma_pl) c_e|^2 by the cumulative rule on the samples.
     """
@@ -601,14 +593,15 @@ def run_transistor(
 
     The gate outcome and the optical-pumping flip photon are sampled with the
     seeded generator; reflected/transmitted are expected counts of incident
-    signal photons conditioned on that sampled path. While the emitter sits
-    in |g> each signal photon reflects with the conditional-mirror R and is
-    lost into the pumping channel with probability
-    p = kappa * gamma_es/(gamma_prime_g + gamma_es); the photon that causes
-    the flip is absorbed, and everything after the flip is transmitted. So
-    ``reflected`` counts the signals routed before the flip, R (F - 1) for
-    the sampled flip index F; with no gate stored and more signals than
-    arrive before the flip its mean is R (1 - p)/p.
+    signal photons conditioned on that sampled path. Each signal photon is
+    routed on its own, with the one-photon R and kappa, which holds only for
+    signals that arrive one at a time. While the emitter sits in |g> a signal
+    reflects with the conditional-mirror R and is lost into the pumping
+    channel with probability p = kappa * gamma_es/(gamma_prime_g + gamma_es);
+    the photon that causes the flip is absorbed, and everything after the
+    flip is transmitted. So ``reflected`` counts the signals routed before
+    the flip, R (F - 1) for the sampled flip index F; with no gate stored and
+    more signals than arrive before the flip its mean is R (1 - p)/p.
     """
     if gate_photon not in (0, 1):
         raise ValueError("gate_photon must be 0 or 1")

@@ -1,6 +1,6 @@
 """Every numerical postcondition of the package, driven over its limit.
 
-Ten checks compare a measured value with a limit through
+Seven checks compare a measured value with a limit through
 ``core.require``; six have no limit and raise directly. Each is reached
 here from a small input that crosses it, and each limit check also fails
 on a NaN.
@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from plasmonqed import bloch, cli, correlations, oracle, scatter, storage
+from plasmonqed import cli, correlations, oracle, scatter, storage
 from plasmonqed.core import (
     FLUX_NORM,
     InvariantViolation,
@@ -86,12 +86,6 @@ def _overflowing_jump():
 
 # (invariant, the call that crosses it); the six without a limit come last
 OVER_THE_LIMIT = [
-    ("density-matrix-hermiticity",
-     lambda mp: bloch.validate_density_matrix([[0.5, 0.2], [0.0, 0.5]])),
-    ("density-matrix-trace",
-     lambda mp: bloch.validate_density_matrix([[0.6, 0.0], [0.0, 0.5]])),
-    ("density-matrix-positivity",
-     lambda mp: bloch.validate_density_matrix([[1.2, 0.0], [0.0, -0.2]])),
     ("oracle-final-error", lambda mp: _oracle_command(mp, 0.5)),
     ("g2-negativity",
      lambda mp: correlations.G2Curve(np.zeros(2), np.array([1.0, -0.5]),
@@ -126,9 +120,11 @@ OVER_THE_LIMIT = [
 ]
 
 
+# ids start at 3, so that each row keeps the test id it has had since it
+# was added
 @pytest.mark.parametrize("invariant, cross", OVER_THE_LIMIT,
                          ids=[f"{name}-{i}" for i, (name, _)
-                              in enumerate(OVER_THE_LIMIT)])
+                              in enumerate(OVER_THE_LIMIT, start=3)])
 def test_each_check_fails_over_its_limit(invariant, cross, monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InvariantViolation) as exc:
@@ -136,11 +132,8 @@ def test_each_check_fails_over_its_limit(invariant, cross, monkeypatch):
     assert exc.value.invariant == invariant
 
 
-# The limit of each of the ten checks that goes through require
+# The limit of each of the seven checks that goes through require
 LIMITS = {
-    "density-matrix-hermiticity": bloch._HERM_TOL,
-    "density-matrix-trace": bloch._TRACE_TOL,
-    "density-matrix-positivity": bloch._EIG_FLOOR,
     "oracle-final-error": 1e-2,
     "g2-negativity": correlations._CLIP_FLOOR,
     "g2-drive-precision": correlations._SPECTRAL_ERROR_LIMIT,
@@ -161,15 +154,14 @@ def test_nan_fails_every_limit(invariant):
 
 
 @pytest.mark.parametrize("invariant, feed_nan", [
-    ("density-matrix-hermiticity",
-     lambda mp: bloch.validate_density_matrix(np.full((2, 2), math.nan))),
     ("oracle-final-error", lambda mp: _oracle_command(mp, math.nan)),
     ("excitation-norm", lambda mp: _excited_start(math.nan)),
     ("spectral-average-normalization", lambda mp: _averaged_with(math.nan)),
 ])
 def test_nan_input_fails_its_check(invariant, feed_nan, monkeypatch):
     """A NaN reaches these checks from an input; at every other limit check
-    an earlier check stops it (a NaN in rho fails hermiticity first)."""
+    an earlier check stops it (a NaN in a g2 curve fails g2-non-finite
+    first)."""
     with pytest.raises(InvariantViolation) as exc:
         feed_nan(monkeypatch)
     assert exc.value.invariant == invariant

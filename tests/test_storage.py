@@ -30,6 +30,7 @@ from plasmonqed.storage import (
     transistor_gain,
     _BLOCK,
     _affine_exp,
+    _at_gauss_nodes,
     _cumulative,
     _derivative,
     _evolve,
@@ -499,7 +500,8 @@ class TestAgreesWithScipyReference:
 
 
 class TestSampleRules:
-    """The derivative and running integral on the cubic end extension."""
+    """The derivative, the running integral and the Gauss-node values on
+    the cubic end extension."""
 
     COEFFS = (0.3 - 0.2j, -1.2 + 0.5j, 0.7, -0.25 + 0.1j)
 
@@ -527,6 +529,29 @@ class TestSampleRules:
         running = _cumulative(self.cubic(t), dt)
         assert running[0] == 0.0
         assert np.max(np.abs(running - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("f, first, tol", [
+        # the end extension continues a cubic exactly: every interval
+        (lambda x: ((x - 100.0) / 100.0) ** 3 - 0.3j * x / 100.0 + 0.2, 0,
+         1e-14),
+        # intervals 4 ... n - 6 take no extended sample: a degree-5
+        # polynomial to rounding, a wave of 0.3 rad per sample to the
+        # interpolant's error (8.6e-10)
+        (lambda x: ((x - 80.0) / 100.0) ** 5
+         + 0.5j * ((x - 80.0) / 100.0) ** 4 + 1.0, 4, 1e-13),
+        (lambda x: np.exp(0.3j * x), 4, 1e-8),
+    ], ids=["cubic", "quintic", "wave"])
+    def test_gauss_node_values(self, f, first, tol):
+        """Both Gauss nodes of each interval, relative to the largest
+        node value."""
+        n = 200
+        x = np.arange(n, dtype=float)
+        nodes = _at_gauss_nodes(f(x))
+        for values, theta in zip(nodes, (0.5 - math.sqrt(3.0) / 6.0,
+                                         0.5 + math.sqrt(3.0) / 6.0)):
+            exact = f(x[:-1] + theta)
+            error = np.abs(values - exact)[first:n - 1 - first]
+            assert np.max(error) <= tol * np.max(np.abs(exact))
 
 
 def random_generators(rng, norms):
@@ -588,8 +613,8 @@ class TestPropagation:
 
     @pytest.mark.parametrize("n_samples", [1501, 2 * _BLOCK + 1])
     def test_zero_drive_matches_a_splined_drive(self, n_samples):
-        # an all-zero drive is not splined; one sample of 1e-300 is, and
-        # adds nothing at double precision
+        # an all-zero drive is not interpolated; one sample of 1e-300 is,
+        # and adds nothing at double precision
         control = matched_pair(50.0, n_samples).generate_control.samples
         drive = np.zeros(n_samples, dtype=complex)
         skipped = _evolve(PARAMS, control, drive, 1.0)
@@ -647,8 +672,8 @@ class TestBlocks:
         matched = matched_pair(50.0, 2 * _BLOCK + 1)
         values = {"control": matched.store_control.samples.values.copy(),
                   "drive": matched.input.samples.values.copy()}
-        # the spline spreads a sample over 30 neighbours on each side, all
-        # of them intervals of the second block
+        # the stencil spreads a sample over the 5 intervals before it and
+        # the 4 after it, all of them intervals of the second block
         values[field][-200] = np.nan
         control, drive = (PulseShape(TimeSeries(0.0, matched.input.samples.dt,
                                                 values[name]), FLUX_NORM)
