@@ -14,12 +14,12 @@ Single-excitation amplitude equations (times in 1/Gamma, Gamma the total
 
 Generation starts in |s> with no drive (E = 0); storage starts in |g> and
 is driven by the incoming photon. Both integrate this one system, by a
-4th-order Magnus step per sample interval; the control that emits a given
-pulse comes from inverting it in closed form on the same samples. Both run
-on numpy alone. Every rule on the samples (the derivative, the running
-integral and the values at the Gauss nodes) is a fixed local stencil on the
-samples continued past each end by the cubic through their 4 outermost
-values, so every path needs at least 4 samples.
+4th-order Magnus step per sample interval, 4096 intervals at a time; the
+control that emits a given pulse comes from inverting it in closed form on
+the same samples. Both run on numpy alone. Every rule on the samples (the
+derivative, the running integral and its total, and the values at the Gauss
+nodes) is a fixed local stencil on the samples continued past each end by
+the cubic through their 4 outermost values; no path takes fewer than 4.
 
 Storage with the time reverse of a generation control and pulse is impedance
 matched: a unit photon is stored with probability gamma_pl/Gamma, which is
@@ -82,6 +82,9 @@ _END_CUBIC = np.array([
     [math.prod((x - m) / (j - m) for m in range(4) if m != j)
      for j in range(4)]
     for x in range(-4, 0)])
+# weights of f[0..3], and mirrored of f[n-1..n-4], that turn the plain sum
+# of the samples into the cumulative rule's total integral, over dt/24
+_END_TOTAL = np.array([-16.0, 7.0, -4.0, 1.0])
 
 # Remainder bound of phi(W) at the largest Taylor degree and scaled norm of
 # each Magnus step's exponential, 0.5^12/13! e^0.5 = 6.5e-14. Each call
@@ -91,9 +94,8 @@ _END_CUBIC = np.array([
 _TAYLOR_REMAINDER = (_TAYLOR_RADIUS**_TAYLOR_DEGREE
                      / math.factorial(_TAYLOR_DEGREE + 1)
                      * math.exp(_TAYLOR_RADIUS))
-# Sample intervals whose Magnus steps are built and scanned together: a
-# block's complex temporaries (64 KB) stay below glibc's 128 KB mmap
-# threshold and in cache.
+# Sample intervals _evolve takes together, node values to loss sums: their
+# complex temporaries (64 KB) stay below glibc's 128 KB mmap threshold.
 _BLOCK = 4096
 
 
@@ -176,7 +178,7 @@ class MatchedStorage:
 def _check_grid(series: TimeSeries, grid) -> None:
     grid = np.asarray(grid, dtype=float)
     if (grid.shape != (len(series),)
-            or not np.allclose(grid, series.grid, rtol=0.0, atol=1e-9)):
+            or not np.max(np.abs(grid - series.grid)) <= 1e-9):
         raise ValueError("pulse and control must share one time grid")
 
 
@@ -216,13 +218,23 @@ def _cumulative(values: np.ndarray, dt: float) -> np.ndarray:
     return running
 
 
-def _at_gauss_nodes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _integral(total: float, ends: np.ndarray, dt: float) -> float:
+    """_cumulative(f, dt)[-1] from the sum ``total`` of all n >= 4 samples f
+    and ``ends``, f at samples 0 ... 3 and n - 4 ... n - 1 (_END_TOTAL)."""
+    return float(dt * (total + _END_TOTAL @ (ends[:4] + ends[:3:-1]) / 24.0))
+
+
+def _at_gauss_nodes(extended: np.ndarray) -> list[np.ndarray]:
     """Values at both Gauss nodes of each interval i: the degree-9 interpolant
-    through samples i - 4 ... i + 5, on the samples extended by 4."""
-    extended = _extend(values, 4)
-    n = len(values)
-    return tuple(sum(w * extended[k:n - 1 + k] for k, w in enumerate(row))
-                 for row in _NODE_WEIGHTS)
+    through extended samples i ... i + 9 (samples i - 4 ... i + 5 if
+    ``extended`` is _extend(values, 4); a slice of it gives its intervals)."""
+    nodes = []
+    for row in _NODE_WEIGHTS:
+        node = np.empty(len(extended) - 9, dtype=complex)
+        node.real = np.convolve(extended.real, row[::-1], "valid")
+        node.imag = np.convolve(extended.imag, row[::-1], "valid")
+        nodes.append(node)
+    return nodes
 
 
 def _compose(later, earlier):
@@ -285,13 +297,6 @@ def _affine_exp(generator):
     return result
 
 
-def _apply(maps, state):
-    """Each map y -> P y + q of C^2 applied to its state, elementwise."""
-    p00, p01, p10, p11, q0, q1 = maps
-    y0, y1 = state
-    return p00 * y0 + p01 * y1 + q0, p10 * y0 + p11 * y1 + q1
-
-
 def _scan_states(steps, start):
     """Inclusive scan on a state: entry i is step i ... step 0 of ``start``.
 
@@ -300,86 +305,102 @@ def _scan_states(steps, start):
     entry; applying each even step to the entry before it (the start for
     step 0) fills in the even ones. That is about one composition and one
     matrix-vector product per entry, where carrying the map from the start
-    to every entry took two compositions.
+    to every entry took two compositions. At 64 entries or fewer a loop on
+    Python complex values (so ``start`` should be such) costs less.
     """
     n = len(steps[0])
-    if n == 1:
-        return _apply(steps, start)
+    if n <= 64:
+        y0, y1 = start
+        e, s = [], []
+        for p00, p01, p10, p11, q0, q1 in zip(*(x.tolist() for x in steps)):
+            y0, y1 = p00 * y0 + p01 * y1 + q0, p10 * y0 + p11 * y1 + q1
+            e.append(y0)
+            s.append(y1)
+        return np.array(e), np.array(s)
     odd = _scan_states(_compose([s[1::2] for s in steps],
                                 [s[:n - 1:2] for s in steps]), start)
-    before = [np.concatenate([[y], o[:(n - 1) // 2]])
-              for y, o in zip(start, odd)]
-    even = _apply([s[::2] for s in steps], before)
-    states = []
-    for o, e in zip(odd, even):
-        entry = np.empty(n, dtype=e.dtype)
-        entry[0::2] = e
-        entry[1::2] = o
-        states.append(entry)
+    y0, y1 = (np.concatenate([[y], o[:(n - 1) // 2]])
+              for y, o in zip(start, odd))
+    p00, p01, p10, p11, q0, q1 = (s[::2] for s in steps)
+    states = np.empty((2, n), dtype=complex)
+    states[0, ::2], states[1, ::2] = (p00 * y0 + p01 * y1 + q0,
+                                      p10 * y0 + p11 * y1 + q1)
+    states[0, 1::2], states[1, 1::2] = odd
     return states
+
+
+def _generators(controls, drives, h, decay):
+    """4th-order Magnus generators h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1]
+    (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)) of the intervals
+    of a slice of the extended samples, with Omega and the drive E at both
+    Gauss nodes (_at_gauss_nodes). An all-zero drive (``drives`` None) adds
+    the scalar 0, as its interpolant would. Its temporaries die on return."""
+    weight = math.sqrt(3.0) / 12.0 * h * h
+    om1, om2 = _at_gauss_nodes(controls)
+    # off-diagonal entries i Omega, i conj(Omega) of A at the two nodes
+    a1, a2 = 1j * om1, 1j * om2
+    b1, b2 = 1j * np.conj(om1), 1j * np.conj(om2)
+    forcing = (0.0, 0.0)
+    if drives is not None:
+        f1, f2 = _at_gauss_nodes(drives)
+        forcing = (0.5 * h * (f1 + f2) + weight * decay * (f1 - f2),
+                   weight * (b2 * f1 - b1 * f2))
+    # [A2, A1] has the diagonal (x, -x), x = a2 b1 - a1 b2
+    commutator = a2 * b1 - a1 * b2
+    return (h * decay + weight * commutator,
+            0.5 * h * (a1 + a2) + weight * decay * (a1 - a2),
+            0.5 * h * (b1 + b2) + weight * decay * (b2 - b1),
+            -weight * commutator,
+            *forcing)
 
 
 def _evolve(params: ThreeLevelParams, control: TimeSeries,
             drive: np.ndarray, c_s0: float):
-    """Amplitudes and running integrals (c_e, c_s, lost, out) at the samples.
+    """Amplitudes (c_e, c_s) at the samples and the totals (lost, out).
 
     Integrates from c_e = 0, c_s = c_s0
 
         dc_e/dt = (i delta - Gamma/2) c_e + i Omega c_s + sqrt(gamma_pl) E
         dc_s/dt = i conj(Omega) c_e
 
-    as the affine system on [c_e, c_s, 1], one 4th-order Magnus step per
-    sample interval (Blanes, Casas, Oteo & Ros, Phys. Rep. 470, 151 (2009)):
-    Omega and the drive E are taken at the interval's two Gauss nodes from
-    the degree-9 interpolant through the 10 samples nearest it, and the step
-    is exp(h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1]), a Taylor sum whose
-    degree the step norm sets. An all-zero drive (generation) is not
-    interpolated; its terms are the scalar 0, as its interpolant would be.
-    The steps are built in blocks of ``_BLOCK`` = 4096 intervals, each with
-    the degree and squarings of its own norm, so that their temporaries come
-    from the heap and stay in cache; up to 4097 samples are one block. A
-    recursive-doubling scan over each block carries the state (c_e, c_s) to
-    its samples, from (0, c_s0) in the first block and from the state the
-    block before left in each later one.
-    lost and out are (gamma'_g + gamma_es) int |c_e|^2 and
-    int |E - sqrt(gamma_pl) c_e|^2 by the cumulative rule on the samples.
+    as the affine system on [c_e, c_s, 1], one Magnus step (_generators)
+    per sample interval, its exponential a Taylor sum of the degree the step
+    norm sets. The work runs in blocks of ``_BLOCK`` = 4096 intervals (up to
+    4097 samples are one block), whose temporaries come from the heap and
+    stay in cache. Each block takes its steps from its slice of the extended
+    samples, with the degree and squarings of its own norm, scans them by
+    recursive doubling from the state the block before left (from (0, c_s0)
+    in the first), and adds its samples to the sums of the totals
+    lost = (gamma'_g + gamma_es) int |c_e|^2 and
+    out = int |E - sqrt(gamma_pl) c_e|^2 (_integral).
     """
     h = control.dt
     decay = 1j * params.delta - params.gamma_total / 2.0
     root_pl = math.sqrt(params.gamma_pl)
-    om1, om2 = _at_gauss_nodes(control.values)
-    drive_nodes = _at_gauss_nodes(root_pl * drive) if np.any(drive) else None
-    weight = math.sqrt(3.0) / 12.0 * h * h
-    c_e, c_s = [[0.0]], [[c_s0]]
-    for start in range(0, len(om1), _BLOCK):
-        block = slice(start, start + _BLOCK)
-        # off-diagonal entries i Omega, i conj(Omega) of A at the two nodes
-        a1, a2 = 1j * om1[block], 1j * om2[block]
-        b1, b2 = 1j * np.conj(om1[block]), 1j * np.conj(om2[block])
-        forcing = (0.0, 0.0)
-        if drive_nodes is not None:
-            f1, f2 = (e[block] for e in drive_nodes)
-            forcing = (0.5 * h * (f1 + f2) + weight * decay * (f1 - f2),
-                       weight * (b2 * f1 - b1 * f2))
-        # [A2, A1] has the diagonal (x, -x), x = a2 b1 - a1 b2
-        commutator = a2 * b1 - a1 * b2
-        maps = _affine_exp((
-            h * decay + weight * commutator,
-            0.5 * h * (a1 + a2) + weight * decay * (a1 - a2),
-            0.5 * h * (b1 + b2) + weight * decay * (b2 - b1),
-            -weight * commutator,
-            *forcing,
-        ))
-        e, s = _scan_states(maps, (c_e[-1][-1], c_s[-1][-1]))
-        c_e.append(e)
-        c_s.append(s)
-    c_e, c_s = np.concatenate(c_e), np.concatenate(c_s)
+    n = len(control)
+    controls = _extend(control.values, 4)
+    drives = _extend(root_pl * drive, 4) if np.any(drive) else None
+    c_e, c_s = np.empty((2, n), dtype=complex)
+    c_e[0], c_s[0] = 0.0, c_s0
+    lost, out = 0.0, float(abs(drive[0]) ** 2)
+    for start in range(0, n - 1, _BLOCK):
+        stop = min(start + _BLOCK, n - 1)
+        maps = _affine_exp(_generators(
+            controls[start:stop + 9],
+            None if drives is None else drives[start:stop + 9], h, decay))
+        new = slice(start + 1, stop + 1)
+        c_e[new], c_s[new] = _scan_states(
+            maps, (complex(c_e[start]), complex(c_s[start])))
+        field = drive[new] - root_pl * c_e[new]
+        lost += np.vdot(c_e[new], c_e[new]).real
+        out += np.vdot(field, field).real
     if not (np.all(np.isfinite(c_e)) and np.all(np.isfinite(c_s))):
         raise InvariantViolation("amplitude-integration",
                                  "non-finite amplitudes")
-    lost = (params.gamma_prime_g + params.gamma_es) * _cumulative(
-        np.abs(c_e) ** 2, h)
-    out = _cumulative(np.abs(drive - root_pl * c_e) ** 2, h)
+    ends = [0, 1, 2, 3, -4, -3, -2, -1]
+    lost = (params.gamma_prime_g + params.gamma_es) * _integral(
+        lost, np.abs(c_e[ends]) ** 2, h)
+    out = _integral(out, np.abs(drive[ends] - root_pl * c_e[ends]) ** 2, h)
     return c_e, c_s, lost, out
 
 
@@ -405,7 +426,7 @@ def generate_photon(
             stacklevel=2)
     v = math.sqrt(params.gamma_pl) * c_e
     pulse = PulseShape(TimeSeries(control.t0, control.dt, v), FLUX_NORM)
-    return pulse, float(out[-1])
+    return pulse, out
 
 
 def _departed_population(c_e: np.ndarray, dt: float,
@@ -503,13 +524,12 @@ def store_photon(
     samples = control.samples
     _check_grid(samples, input_pulse.samples.grid)
     even_fraction = 0.5 + math.sqrt(splitting * (1.0 - splitting))
-    c_e, c_s, lost, out = _evolve(
+    c_e, c_s, loss, out = _evolve(
         params, samples, math.sqrt(even_fraction) * input_pulse.samples.values,
         0.0)
     budget = input_pulse.squared_norm
     efficiency = float(abs(c_s[-1]) ** 2)
-    loss = float(lost[-1])
-    leakage = (float(out[-1]) + float(abs(c_e[-1]) ** 2)
+    leakage = (out + float(abs(c_e[-1]) ** 2)
                + (1.0 - even_fraction) * budget)
     total = efficiency + leakage + loss
     require("storage-probability-bookkeeping", abs(total - budget),

@@ -34,6 +34,8 @@ from plasmonqed.storage import (
     _cumulative,
     _derivative,
     _evolve,
+    _extend,
+    _integral,
     _scan_states,
     _taylor_degree,
 )
@@ -327,13 +329,19 @@ class TestGeneratePhoton:
         assert eff == pytest.approx(BOUND, rel=2e-4)
 
     def test_rejects_nonuniform_grid(self):
-        matched = matched_pair(2.0)
+        matched = matched_pair(50.0, 201)
         p = PARAMS.with_control(matched.generate_control)
         grid = matched.generate_control.samples.grid
+        # the grids must agree to 1e-9 absolute at every sample
+        last, holed = grid.copy(), grid.copy()
+        last[-1] += 2e-9
+        holed[100] = np.nan
         for t_grid in (np.array([0.0, 0.5, 2.0]), grid + 1e-6,
-                       np.linspace(grid[0], grid[-1], len(grid) + 1)):
+                       np.linspace(grid[0], grid[-1], len(grid) + 1),
+                       last, holed):
             with pytest.raises(ValueError, match="time grid"):
                 generate_photon(p, t_grid)
+        generate_photon(p, grid + 5e-10)
 
     def test_leaves_no_cyclic_garbage(self):
         """A store + generate pair frees everything by reference counting."""
@@ -509,6 +517,10 @@ class TestSampleRules:
         a0, a1, a2, a3 = self.COEFFS
         return a0 + t * (a1 + t * (a2 + t * a3))
 
+    def antiderivative(self, t):
+        a0, a1, a2, a3 = self.COEFFS
+        return t * (a0 + t * (a1 / 2.0 + t * (a2 / 3.0 + t * a3 / 4.0)))
+
     @pytest.mark.parametrize("n", [4, 5, 9, 40])
     def test_derivative_exact_on_cubics(self, n):
         t, dt = np.linspace(-1.0, 2.0, n, retstep=True)
@@ -520,15 +532,28 @@ class TestSampleRules:
     @pytest.mark.parametrize("n", [4, 5, 9, 40])
     def test_cumulative_exact_on_cubics(self, n):
         t, dt = np.linspace(-1.0, 2.0, n, retstep=True)
-        a0, a1, a2, a3 = self.COEFFS
-
-        def antiderivative(x):
-            return x * (a0 + x * (a1 / 2.0 + x * (a2 / 3.0 + x * a3 / 4.0)))
-
-        expected = antiderivative(t) - antiderivative(t[0])
+        expected = self.antiderivative(t) - self.antiderivative(t[0])
         running = _cumulative(self.cubic(t), dt)
         assert running[0] == 0.0
         assert np.max(np.abs(running - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [4, 5, 9, 40])
+    def test_integral_exact_on_cubics(self, n):
+        t, dt = np.linspace(-1.0, 2.0, n, retstep=True)
+        # the real part: the totals integrate intensities
+        expected = (self.antiderivative(t[-1])
+                    - self.antiderivative(t[0])).real
+        f = self.cubic(t).real
+        total = _integral(np.sum(f), np.concatenate([f[:4], f[-4:]]), dt)
+        assert abs(total - expected) <= 1e-12
+
+    @pytest.mark.parametrize("n", [4, 7, 8, 101, 4097, 16001])
+    def test_integral_is_the_running_integral_at_the_end(self, n):
+        f = np.random.default_rng(n).uniform(0.0, 1.0, n)
+        dt = 0.37
+        total = _integral(np.sum(f), np.concatenate([f[:4], f[-4:]]), dt)
+        expected = _cumulative(f, dt)[-1]
+        assert abs(total - expected) <= 2e-15 * abs(expected)
 
     @pytest.mark.parametrize("f, first, tol", [
         # the end extension continues a cubic exactly: every interval
@@ -546,12 +571,23 @@ class TestSampleRules:
         node value."""
         n = 200
         x = np.arange(n, dtype=float)
-        nodes = _at_gauss_nodes(f(x))
+        nodes = _at_gauss_nodes(_extend(f(x), 4))
         for values, theta in zip(nodes, (0.5 - math.sqrt(3.0) / 6.0,
                                          0.5 + math.sqrt(3.0) / 6.0)):
             exact = f(x[:-1] + theta)
             error = np.abs(values - exact)[first:n - 1 - first]
             assert np.max(error) <= tol * np.max(np.abs(exact))
+
+    def test_gauss_node_values_of_a_slice(self):
+        # intervals start ... stop - 1 read extended samples start ... stop + 8
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=301) + 1j * rng.normal(size=301)
+        extended = _extend(values, 4)
+        whole = _at_gauss_nodes(extended)
+        for start, stop in ((0, 128), (128, 256), (256, 300)):
+            part = _at_gauss_nodes(extended[start:stop + 9])
+            for a, b in zip(part, whole):
+                assert np.array_equal(a, b[start:stop])
 
 
 def random_generators(rng, norms):
@@ -593,7 +629,8 @@ class TestPropagation:
         # the step norms of storage at 1501, 4001 and 16001 samples
         assert [_taylor_degree(t) for t in (0.031, 0.012, 0.0029)] == [7, 6, 5]
 
-    @pytest.mark.parametrize("count", [*range(1, 40), 1000])
+    @pytest.mark.parametrize(
+        "count", [*range(1, 40), 63, 64, 65, 127, 128, 129, 1000, 4096])
     def test_state_scan_matches_sequential_steps(self, count):
         rng = np.random.default_rng(count)
         # norms up to 3 make _affine_exp square up to three times
