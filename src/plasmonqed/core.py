@@ -147,9 +147,6 @@ class TimeSeries:
         return len(self.values)
 
 
-UNIT_NORM = "unit"
-FLUX_NORM = "flux"
-
 _NORM_TOL = 1e-9
 
 
@@ -157,22 +154,11 @@ _NORM_TOL = 1e-9
 class PulseShape:
     """Complex envelope of a photon wavepacket or a control field.
 
-    ``norm_convention`` is either ``"unit"`` (sum |v|^2 dt == 1, enforced) or
-    ``"flux"`` (arbitrary L2 norm; used for emitted fields and controls).
+    Its squared norm is whatever the samples give: 1 for a photon spectrum,
+    the emission probability for an emitted field (see ``_check_unit_norm``).
     """
 
     samples: TimeSeries
-    norm_convention: str = UNIT_NORM
-
-    def __post_init__(self):
-        if self.norm_convention not in (UNIT_NORM, FLUX_NORM):
-            raise ValueError(f"unknown norm convention {self.norm_convention!r}")
-        if self.norm_convention == UNIT_NORM:
-            n = self.squared_norm
-            if not abs(n - 1.0) <= _NORM_TOL:
-                raise ValueError(
-                    f"unit-norm pulse has sum |v|^2 dt = {n!r}; "
-                    f"expected 1 within {_NORM_TOL}")
 
     @property
     def squared_norm(self) -> float:
@@ -185,8 +171,15 @@ class PulseShape:
         if n <= 0.0:
             raise ValueError("cannot normalize a zero pulse")
         scaled = self.samples.values / math.sqrt(n)
-        return PulseShape(
-            TimeSeries(self.samples.t0, self.samples.dt, scaled), UNIT_NORM)
+        return PulseShape(TimeSeries(self.samples.t0, self.samples.dt, scaled))
+
+
+def _check_unit_norm(pulse: PulseShape, name: str) -> None:
+    """Raise ValueError unless sum |v|^2 dt is 1 within 1e-9; NaN fails."""
+    n = pulse.squared_norm
+    if not abs(n - 1.0) <= _NORM_TOL:
+        raise ValueError(f"{name} must be unit-normalized in frequency within "
+                         f"{_NORM_TOL}, got sum |v|^2 dt = {n!r}")
 
 
 def gaussian_spectrum(
@@ -202,8 +195,12 @@ def gaussian_spectrum(
     centered on ``center``. The grid spans ``center +- n_sigma * rms``; it
     may be a time grid as well (storage's Gaussian photon).
     """
-    if not rms_bandwidth > 0.0:
-        raise ValueError("rms_bandwidth must be positive")
+    if not 0.0 < rms_bandwidth < math.inf:
+        raise ValueError(
+            f"rms_bandwidth must be finite and positive, got {rms_bandwidth!r}")
+    if not 0.0 < n_sigma < math.inf:
+        raise ValueError(
+            f"n_sigma must be finite and positive, got {n_sigma!r}")
     if n_samples < 3:
         raise ValueError("n_samples must be at least 3")
     sigma = float(rms_bandwidth)
@@ -213,5 +210,4 @@ def gaussian_spectrum(
     dnu = grid[1] - grid[0]
     # field amplitude: |f|^2 Gaussian of rms sigma
     f = np.exp(-((grid - center) ** 2) / (4.0 * sigma**2)).astype(complex)
-    f /= math.sqrt(np.sum(np.abs(f) ** 2) * dnu)
-    return PulseShape(TimeSeries(float(lo), float(dnu), f), UNIT_NORM)
+    return PulseShape(TimeSeries(float(lo), float(dnu), f)).normalized()

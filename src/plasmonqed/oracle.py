@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import EmitterParams, PulseShape, UNIT_NORM, require
+from .core import EmitterParams, PulseShape, _check_unit_norm, require
 
 __all__ = [
     "ModeGrid",
@@ -125,11 +125,13 @@ def build_grid(
     the residual band-edge bias of grid observables falls off as one over
     the span.
     """
-    if n_modes < 2:
-        raise ValueError(f"n_modes must be >= 2, got {n_modes}")
+    if not (n_modes >= 2 and float(n_modes).is_integer()):
+        raise ValueError(f"n_modes must be an integer >= 2, got {n_modes!r}")
     if k_span is None:
         k_span = max(_MIN_SPAN * params.gamma_total,
                      _DEFAULT_SPACING * n_modes)
+    if not math.isfinite(k_span):
+        raise ValueError(f"k_span must be finite, got {k_span!r}")
     # Gamma = gamma_pl + gamma_prime can round to 1 + 2.2e-16 (P = 0.001)
     if k_span < _MIN_SPAN * params.gamma_total * (1.0 - 1e-12):
         raise ValueError(
@@ -149,8 +151,7 @@ def _initial_amplitudes(grid: ModeGrid, pulse: PulseShape, t_peak: float) -> np.
     pulse narrower than the mode spacing is rejected; the sampled envelope
     is then renormalized.
     """
-    if pulse.norm_convention != UNIT_NORM:
-        raise ValueError("pulse must be unit-normalized in frequency")
+    _check_unit_norm(pulse, "pulse")
     freq = pulse.samples.grid
     values = pulse.samples.values
     half = grid.mode_spacing / 2.0
@@ -393,15 +394,18 @@ def scatter_wavepacket(
     unscattered packet. Runs must stay clear of the discrete recurrence at
     2 pi / spacing, when the scattered packet wraps around the box and hits
     the emitter a second time, and a peak at or past that recurrence would
-    pass the emitter twice.
+    pass the emitter twice. Both times must be finite.
     """
+    if t_final is None:
+        t_final = t_peak + 35.0
+    for name, value in (("t_peak", t_peak), ("t_final", t_final)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if t_peak >= grid.recurrence_time:
         raise ValueError(
             f"t_peak = {t_peak} is at or past the mode-grid recurrence, "
             f"2 pi/spacing = {grid.recurrence_time:.4g}, so the pulse peak "
             f"passes the emitter twice; use a denser grid or an earlier peak")
-    if t_final is None:
-        t_final = t_peak + 35.0
     # a negative t_final is left to _propagate, which rejects it as backward
     if 0.0 <= t_final <= t_peak:
         raise ValueError(

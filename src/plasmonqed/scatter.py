@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import EmitterParams, PulseShape, UNIT_NORM, require
+from .core import EmitterParams, PulseShape, _check_unit_norm, require
 
 __all__ = [
     "ScatterPoint",
@@ -80,8 +80,7 @@ def pulse_averaged_rt(
     spectrum is a monochromatic line. The caller is responsible for
     covering the pulse support (8 rms widths for the built-in Gaussian).
     """
-    if spectrum.norm_convention != UNIT_NORM:
-        raise ValueError("spectrum must be unit-normalized in frequency")
+    _check_unit_norm(spectrum, "spectrum")
     samples = spectrum.samples
     weights = np.abs(samples.values) ** 2 * samples.dt
     point = scatter_point(params, samples.grid)

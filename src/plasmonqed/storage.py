@@ -39,7 +39,6 @@ from .core import (
     _TAYLOR_RADIUS,
     _check_rates,
     EmitterParams,
-    FLUX_NORM,
     InvariantViolation,
     PulseShape,
     TimeSeries,
@@ -410,7 +409,7 @@ def generate_photon(
     """Emit a photon from |s> under the control in ``params``.
 
     Returns the emitted waveguide envelope v(t) = sqrt(gamma_pl) c_e(t)
-    (flux normalization: its squared norm is the emission efficiency) and
+    (its squared norm is the emission efficiency) and
     the efficiency itself. ``t_grid`` must be the control's own grid.
     """
     if params.control is None:
@@ -425,7 +424,7 @@ def generate_photon(
             f"control leaves |c_s|^2 = {residual:.3g} undepleted",
             stacklevel=2)
     v = math.sqrt(params.gamma_pl) * c_e
-    pulse = PulseShape(TimeSeries(control.t0, control.dt, v), FLUX_NORM)
+    pulse = PulseShape(TimeSeries(control.t0, control.dt, v))
     return pulse, out
 
 
@@ -469,7 +468,7 @@ def control_for_target_pulse(
     dt = target.samples.dt
     gamma = params.gamma_total
     v = target.samples.values
-    norm = float(np.sum(np.abs(v) ** 2) * dt)
+    norm = target.squared_norm
     bound = params.gamma_pl / gamma
     if norm > bound + 1e-9:
         raise ValueError(
@@ -501,7 +500,7 @@ def control_for_target_pulse(
     phase = _cumulative(phase_rate, dt)
     omega = np.zeros(len(t), dtype=complex)
     omega[:stop] = numerator / (1j * np.sqrt(cs2) * np.exp(1j * phase))
-    return PulseShape(TimeSeries(float(t[0]), float(dt), omega), FLUX_NORM)
+    return PulseShape(TimeSeries(float(t[0]), float(dt), omega))
 
 
 def store_photon(
@@ -555,21 +554,20 @@ def matched_storage(
     """
     if not duration > 0.0:
         raise ValueError("duration must be positive")
+    if not math.isfinite(duration):
+        raise ValueError(f"duration must be finite, got {duration!r}")
     shape = gaussian_spectrum(duration / 12.0, duration / 2.0, 6.0, n_samples)
     dt = shape.samples.dt
     v0 = shape.samples.values
     headroom = _departed_population(v0 / math.sqrt(params.gamma_pl), dt,
                                     params.gamma_total)
     alpha2 = (1.0 - _FEASIBILITY_MARGIN) / float(np.max(headroom))
-    target = PulseShape(
-        TimeSeries(0.0, dt, v0 * math.sqrt(alpha2)), FLUX_NORM)
+    target = PulseShape(TimeSeries(0.0, dt, v0 * math.sqrt(alpha2)))
     generate_control = control_for_target_pulse(params, target)
     reversed_input = PulseShape(
-        TimeSeries(0.0, dt, np.conj(target.samples.values[::-1])), FLUX_NORM
-    ).normalized()
+        TimeSeries(0.0, dt, np.conj(target.samples.values[::-1]))).normalized()
     store_control = PulseShape(
-        TimeSeries(0.0, dt, np.conj(generate_control.samples.values[::-1])),
-        FLUX_NORM)
+        TimeSeries(0.0, dt, np.conj(generate_control.samples.values[::-1])))
     return MatchedStorage(reversed_input, store_control, generate_control,
                           target)
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plasmonqed.core import (
+    _check_unit_norm,
     EmitterParams,
-    FLUX_NORM,
     PulseShape,
     TimeSeries,
     gaussian_spectrum,
@@ -107,35 +107,37 @@ class TestTimeSeries:
 class TestPulseShape:
     def test_unit_norm_enforced(self):
         ts = TimeSeries(0.0, 0.1, np.ones(10, dtype=complex))
-        PulseShape(ts)  # sum |v|^2 dt = 1 exactly
-        bad = TimeSeries(0.0, 0.1, 2.0 * np.ones(10, dtype=complex))
-        with pytest.raises(ValueError, match="unit-norm"):
-            PulseShape(bad)
-        # flux convention carries any norm
-        p = PulseShape(bad, FLUX_NORM)
-        assert p.squared_norm == pytest.approx(4.0)
+        _check_unit_norm(PulseShape(ts), "pulse")  # sum |v|^2 dt = 1 exactly
+        bad = PulseShape(TimeSeries(0.0, 0.1, 2.0 * np.ones(10, dtype=complex)))
+        assert bad.squared_norm == pytest.approx(4.0)
+        with pytest.raises(ValueError, match="^pulse must be unit-normalized"):
+            _check_unit_norm(bad, "pulse")
+        # the rule is 1e-9 absolute, both ways
+        for error in (5e-10, -5e-10, 2e-9, -2e-9):
+            values = math.sqrt(1.0 + error) * np.ones(10, dtype=complex)
+            pulse = PulseShape(TimeSeries(0.0, 0.1, values))
+            if abs(error) < 1e-9:
+                _check_unit_norm(pulse, "pulse")
+            else:
+                with pytest.raises(ValueError, match="unit-normalized"):
+                    _check_unit_norm(pulse, "pulse")
 
     def test_nan_sample_is_not_unit_norm(self):
         values = np.ones(10, dtype=complex)
         values[3] = math.nan
-        with pytest.raises(ValueError, match="unit-norm pulse has sum "
-                                             r"\|v\|\^2 dt = nan"):
-            PulseShape(TimeSeries(0.0, 0.1, values))
+        with pytest.raises(ValueError, match=r"sum \|v\|\^2 dt = nan"):
+            _check_unit_norm(PulseShape(TimeSeries(0.0, 0.1, values)),
+                             "pulse")
 
     def test_normalized(self):
         ts = TimeSeries(0.0, 0.1, 3.0 * np.ones(10, dtype=complex))
-        p = PulseShape(ts, FLUX_NORM).normalized()
+        p = PulseShape(ts).normalized()
         assert p.squared_norm == pytest.approx(1.0, abs=1e-12)
 
     def test_normalize_zero_pulse(self):
         ts = TimeSeries(0.0, 0.1, np.zeros(5, dtype=complex))
         with pytest.raises(ValueError):
-            PulseShape(ts, FLUX_NORM).normalized()
-
-    def test_unknown_convention(self):
-        ts = TimeSeries(0.0, 0.1, np.ones(10, dtype=complex))
-        with pytest.raises(ValueError):
-            PulseShape(ts, "rms")
+            PulseShape(ts).normalized()
 
 
 class TestGaussianSpectrum:
@@ -165,3 +167,9 @@ class TestGaussianSpectrum:
             gaussian_spectrum(0.0)
         with pytest.raises(ValueError):
             gaussian_spectrum(0.1, n_samples=2)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="^rms_bandwidth must be"):
+                gaussian_spectrum(bad)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^n_sigma must be"):
+                gaussian_spectrum(0.1, n_sigma=bad)

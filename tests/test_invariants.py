@@ -6,6 +6,7 @@ here from a small input that crosses it, and each limit check also fails
 on a NaN.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -14,7 +15,6 @@ import pytest
 
 from plasmonqed import cli, correlations, oracle, scatter, storage
 from plasmonqed.core import (
-    FLUX_NORM,
     InvariantViolation,
     PulseShape,
     TimeSeries,
@@ -43,7 +43,7 @@ def _store_with(duration=50.0, n_samples=201, scale_control=1.0,
     dt = matched.input.samples.dt
     storage.store_photon(
         STORAGE_PARAMS, matched.input,
-        PulseShape(TimeSeries(0.0, dt, control), FLUX_NORM))
+        PulseShape(TimeSeries(0.0, dt, control)))
 
 
 def _oracle_command(monkeypatch, error):
@@ -70,12 +70,18 @@ def _excited_start(amplitude):
     oracle._propagate(grid, y0, 1.0, P20.gamma_prime)
 
 
-def _averaged_with(sample):
-    """pulse_averaged_rt on a unit-norm spectrum whose first sample is then
-    overwritten in place, past the unit-norm check."""
-    spectrum = gaussian_spectrum(0.1)
-    spectrum.samples.values[0] = sample
-    scatter.pulse_averaged_rt(P20, spectrum)
+def _averaged_with(monkeypatch, excess):
+    """pulse_averaged_rt on a unit-norm spectrum, with ``excess`` added to
+    the closed form's loss at every detuning: the spectrum passes the
+    unit-norm check, and only the patched loss moves R + T + kappa off 1."""
+    closed_form = scatter.scatter_point
+
+    def lossier(params, delta=None):
+        point = closed_form(params, delta)
+        return dataclasses.replace(point, loss=point.loss + excess)
+
+    monkeypatch.setattr(scatter, "scatter_point", lossier)
+    scatter.pulse_averaged_rt(P20, gaussian_spectrum(0.1))
 
 
 def _overflowing_jump():
@@ -98,7 +104,7 @@ OVER_THE_LIMIT = [
     # 27/Gamma after the peak |c_e|^2 = 2.0e-6 is left, twice the limit;
     # the loss is 1 - (R + T + |c_e|^2), so this also bounds R + T + loss
     ("pulse-not-cleared", lambda mp: _uncleared_run(t_final=52.0)),
-    ("spectral-average-normalization", lambda mp: _averaged_with(1.0)),
+    ("spectral-average-normalization", lambda mp: _averaged_with(mp, 1.0)),
     # 100 samples over a duration of 3, too few for the pulse
     ("storage-probability-bookkeeping",
      lambda mp: _store_with(duration=3.0, n_samples=100)),
@@ -156,12 +162,14 @@ def test_nan_fails_every_limit(invariant):
 @pytest.mark.parametrize("invariant, feed_nan", [
     ("oracle-final-error", lambda mp: _oracle_command(mp, math.nan)),
     ("excitation-norm", lambda mp: _excited_start(math.nan)),
-    ("spectral-average-normalization", lambda mp: _averaged_with(math.nan)),
+    ("spectral-average-normalization",
+     lambda mp: _averaged_with(mp, math.nan)),
 ])
 def test_nan_input_fails_its_check(invariant, feed_nan, monkeypatch):
-    """A NaN reaches these checks from an input; at every other limit check
-    an earlier check stops it (a NaN in a g2 curve fails g2-non-finite
-    first)."""
+    """A NaN reaches these checks from an input or, for the spectral
+    average, from the patched closed form; at every other limit check an
+    earlier check stops it (a NaN in a g2 curve fails g2-non-finite first,
+    a NaN spectrum sample the unit-norm check)."""
     with pytest.raises(InvariantViolation) as exc:
         feed_nan(monkeypatch)
     assert exc.value.invariant == invariant

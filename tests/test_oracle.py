@@ -8,6 +8,7 @@ from plasmonqed.core import (
     EmitterParams,
     InvariantViolation,
     PulseShape,
+    TimeSeries,
     gaussian_spectrum,
     params_from_purcell,
 )
@@ -113,6 +114,18 @@ class TestBuildGrid:
     def test_rejects_single_mode(self):
         with pytest.raises(ValueError):
             build_grid(P20, 1)
+
+    def test_rejects_non_integral_mode_count(self):
+        # 250.5 would lay out 251 detunings under n_modes = 250
+        for n_modes in (250.5, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^n_modes must be an integer"):
+                build_grid(P20, n_modes, k_span=20.04)
+        assert build_grid(P20, 250.0, k_span=20.0).n_modes == 250
+
+    def test_rejects_non_finite_span(self):
+        for k_span in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="^k_span must be finite"):
+                build_grid(P20, 250, k_span=k_span)
 
     def test_rejects_narrow_window(self):
         with pytest.raises(ValueError, match="narrow"):
@@ -507,11 +520,26 @@ class TestScatterWavepacket:
         with pytest.raises(ValueError, match="not resolved"):
             scatter_wavepacket(grid, gaussian_spectrum(0.004))
 
-    def test_rejects_flux_normalized_pulse(self):
+    def test_requires_unit_norm(self):
         grid = build_grid(P20, 250)
-        flux = PulseShape(gaussian_spectrum(0.1).samples, "flux")
-        with pytest.raises(ValueError, match="unit-normalized"):
-            scatter_wavepacket(grid, flux)
+        samples = gaussian_spectrum(0.1).samples
+        # a hand-built pulse of norm 1 needs no label
+        assert scatter_wavepacket(grid, PulseShape(samples)).r_sim == (
+            scatter_wavepacket(grid, gaussian_spectrum(0.1)).r_sim)
+        with_nan = samples.values.copy()
+        with_nan[800] = np.nan
+        for values in (2.0 * samples.values, with_nan):
+            with pytest.raises(ValueError,
+                               match="^pulse must be unit-normalized"):
+                scatter_wavepacket(grid, PulseShape(
+                    TimeSeries(samples.t0, samples.dt, values)))
+
+    @pytest.mark.parametrize("name", ["t_peak", "t_final"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_times(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            scatter_wavepacket(build_grid(P20, 250), gaussian_spectrum(0.1),
+                               **{name: value})
 
 
 class TestFiniteBand:

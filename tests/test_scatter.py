@@ -168,7 +168,14 @@ class TestPulseAverage:
                     assert np.max(np.abs(np.subtract(got, expected))) <= 1e-12
 
     def test_requires_unit_norm(self):
-        sp = gaussian_spectrum(0.1)
-        flux = PulseShape(sp.samples, "flux")
-        with pytest.raises(ValueError, match="unit"):
-            pulse_averaged_rt(P20, flux)
+        samples = gaussian_spectrum(0.1).samples
+        # a hand-built pulse of norm 1 needs no label
+        assert pulse_averaged_rt(P20, PulseShape(samples)) == pulse_averaged_rt(
+            P20, gaussian_spectrum(0.1))
+        with_nan = samples.values.copy()
+        with_nan[800] = np.nan
+        for values in (2.0 * samples.values, with_nan):
+            with pytest.raises(ValueError,
+                               match="^spectrum must be unit-normalized"):
+                pulse_averaged_rt(P20, PulseShape(
+                    TimeSeries(samples.t0, samples.dt, values)))

@@ -11,7 +11,6 @@ from scipy.interpolate import CubicSpline
 
 from plasmonqed import storage
 from plasmonqed.core import (
-    FLUX_NORM,
     InvariantViolation,
     PulseShape,
     TimeSeries,
@@ -153,8 +152,7 @@ class TestThreeLevelParams:
         assert two.gamma_prime == 0.0
 
     def test_with_control(self):
-        control = PulseShape(TimeSeries(0.0, 0.1, np.ones(5, complex)),
-                             FLUX_NORM)
+        control = PulseShape(TimeSeries(0.0, 0.1, np.ones(5, complex)))
         p = PARAMS.with_control(control)
         assert p.control is control
         assert p.gamma_pl == PARAMS.gamma_pl
@@ -184,6 +182,10 @@ class TestGaussianTarget:
     def test_rejects_nonpositive_duration(self):
         with pytest.raises(ValueError, match="^duration must be positive$"):
             matched_storage(PARAMS, duration=0.0)
+
+    def test_rejects_infinite_duration(self):
+        with pytest.raises(ValueError, match="^duration must be finite, got inf$"):
+            matched_storage(PARAMS, duration=math.inf)
 
 
 class TestMatchedStorage:
@@ -290,8 +292,7 @@ class TestStorePhoton:
 
     def test_rejects_mismatched_grids(self):
         matched = matched_pair(10.0)
-        control = PulseShape(TimeSeries(0.0, 0.5, np.zeros(7, complex)),
-                             FLUX_NORM)
+        control = PulseShape(TimeSeries(0.0, 0.5, np.zeros(7, complex)))
         with pytest.raises(ValueError, match="time grid"):
             store_photon(PARAMS, matched.input, control)
 
@@ -316,7 +317,6 @@ class TestGeneratePhoton:
             pulse, eff = generate_photon(
                 PARAMS.with_control(matched.generate_control),
                 matched.target.samples.grid)
-        assert pulse.norm_convention == FLUX_NORM
         assert pulse.squared_norm == pytest.approx(eff, abs=1e-8)
 
     def test_matched_control_depletes_initial_state(self):
@@ -365,7 +365,7 @@ class TestControlInversion:
         shape = gaussian(50.0, 1001)
         over = PulseShape(
             TimeSeries(0.0, shape.samples.dt,
-                       shape.samples.values * math.sqrt(0.96)), FLUX_NORM)
+                       shape.samples.values * math.sqrt(0.96)))
         with pytest.raises(ValueError, match="efficiency bound"):
             control_for_target_pulse(PARAMS, over)
 
@@ -375,8 +375,7 @@ class TestControlInversion:
         shape = gaussian(2.0, 1001)
         fast = PulseShape(
             TimeSeries(0.0, shape.samples.dt,
-                       shape.samples.values * math.sqrt(0.95 * BOUND)),
-            FLUX_NORM)
+                       shape.samples.values * math.sqrt(0.95 * BOUND)))
         with pytest.raises(ValueError, match="unemitted"):
             control_for_target_pulse(PARAMS, fast)
 
@@ -409,8 +408,7 @@ class TestControlInversion:
         assert l2 < 1e-3
 
     def test_rejects_grid_too_short_for_stencils(self):
-        short = PulseShape(TimeSeries(0.0, 0.1, np.full(3, 0.1 + 0j)),
-                           FLUX_NORM)
+        short = PulseShape(TimeSeries(0.0, 0.1, np.full(3, 0.1 + 0j)))
         with pytest.raises(ValueError, match="too few"):
             control_for_target_pulse(PARAMS, short)
         with pytest.raises(ValueError, match="too few"):
@@ -419,8 +417,7 @@ class TestControlInversion:
             generate_photon(PARAMS.with_control(short), short.samples.grid)
 
     def test_four_samples_invert(self):
-        target = PulseShape(TimeSeries(0.0, 0.1, np.full(4, 0.1 + 0j)),
-                            FLUX_NORM)
+        target = PulseShape(TimeSeries(0.0, 0.1, np.full(4, 0.1 + 0j)))
         control = control_for_target_pulse(PARAMS, target)
         assert len(control.samples) == 4
         assert np.all(np.isfinite(control.samples.values))
@@ -713,7 +710,7 @@ class TestBlocks:
         # the 4 after it, all of them intervals of the second block
         values[field][-200] = np.nan
         control, drive = (PulseShape(TimeSeries(0.0, matched.input.samples.dt,
-                                                values[name]), FLUX_NORM)
+                                                values[name]))
                           for name in ("control", "drive"))
         with pytest.raises(InvariantViolation, match=message) as caught:
             store_photon(PARAMS, drive, control)
